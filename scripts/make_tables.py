@@ -18,32 +18,19 @@ from pathlib import Path
 
 from kedsum.atoms import bundled_basis, density_model, hf_kinetic, \
     list_bundled
-from kedsum.hooke import HookeParams, analytic_density_omega_half, \
-    singlet_ks_kinetic, solve_general
-from kedsum.radial import grid_for_density
-from kedsum.resum import ALL_METHODS, run_methods
+from kedsum.hooke import table_density
+from kedsum.resum import ALL_METHODS, error_columns
 
 HOOKE_OMEGAS = (0.25, 0.5, 1.0, 4.0)
 ATOM_ORDER = ("he", "be", "ne", "ar")
 
 
-def _error_cells(model, t_ref):
-    grid = grid_for_density(model)
-    reports = run_methods(model, ALL_METHODS, grid, t_ref)
-    return [f"{rep.percent_error:+.2f}" for rep in reports]
-
-
 def hooke_rows():
     rows = []
     for omega in HOOKE_OMEGAS:
-        if omega == 0.5:
-            model = analytic_density_omega_half()
-            t_ref = singlet_ks_kinetic(model, grid_for_density(model))
-        else:
-            solution = solve_general(HookeParams(omega=omega))
-            model, t_ref = solution.density, solution.T_exact
+        model, t_ref = table_density(omega)
         rows.append([f"{omega:g}", f"{t_ref:.6g}"]
-                    + _error_cells(model, t_ref))
+                    + error_columns(model, t_ref))
     return rows
 
 
@@ -55,7 +42,7 @@ def atom_rows():
         basis = bundled_basis(key)
         t_ref = hf_kinetic(basis)
         rows.append([basis.element, f"{t_ref:.6g}"]
-                    + _error_cells(density_model(basis), t_ref))
+                    + error_columns(density_model(basis), t_ref))
     return rows
 
 

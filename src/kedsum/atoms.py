@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -148,21 +149,58 @@ class RHFOrbital:
                 total += ca * cb * _primitive_kinetic(a, b, self.l)
         return total
 
-    def radial_jet(self, r: float) -> np.ndarray:
-        """Derivative bundle of R at radius r."""
-        total = np.zeros(jets.ORDERS)
-        for p, c in zip(self.primitives, self.coeffs):
-            term = jets.multiply(jets.power(r, p.n - 1),
-                                 jets.exponential(r, p.zeta))
-            total += (c * p.norm) * term
-        return total
-
 
 @dataclass(frozen=True)
 class STOBasisSet:
     element: str
     electron_count: float
     orbitals: tuple[RHFOrbital, ...]
+
+    @cached_property
+    def occupations(self) -> np.ndarray:
+        return np.array([orb.occ for orb in self.orbitals])
+
+    @cached_property
+    def _primitive_table(self):
+        """The r-independent factors of every primitive's jet.
+
+        d^k r^m = (m)_k r^(m-k) with m = n - 1 >= 0 (the falling
+        factorial (m)_k is the jet of r^m at r = 1, zero past k = m) and
+        d^k e^(-zeta r) = (-zeta)^k e^(-zeta r); plus the (orbital,
+        primitive) weights c N.  Primitives run along the last axis.
+        """
+        prims = [(i, p, c) for i, orb in enumerate(self.orbitals)
+                 for p, c in zip(orb.primitives, orb.coeffs)]
+        weights = np.zeros((len(self.orbitals), len(prims)))
+        for k, (i, p, c) in enumerate(prims):
+            weights[i, k] = c * p.norm
+        powers = np.array([p.n - 1 for _, p, _ in prims])
+        falling = np.stack([jets.power(1.0, m) for m in powers], axis=1)
+        exponents = np.maximum(powers - np.arange(jets.ORDERS)[:, None], 0)
+        zetas = np.array([p.zeta for _, p, _ in prims])
+        slopes = np.cumprod(np.vstack([np.ones_like(zetas)]
+                                      + [-zetas] * (jets.ORDERS - 1)), axis=0)
+        return falling, exponents, zetas, slopes, weights
+
+    def radial_jets(self, r) -> np.ndarray:
+        """Jets of every orbital's R at r, shape (5,) + r.shape + (n_orb,).
+
+        Every Slater primitive of every orbital is one entry of a single
+        jet array, so one Leibniz product serves the whole basis.  Each
+        sum runs along a last axis of fixed length, so a radius gets the
+        same bits alone as in a batch.
+        """
+        falling, exponents, zetas, slopes, weights = self._primitive_table
+        r = np.asarray(r, dtype=float)[..., None]
+        lead = (jets.ORDERS,) + (1,) * (r.ndim - 1)
+        # r^0 .. r^max by repeated multiplication, then r^(m-k) by lookup.
+        ladder = np.cumprod(np.concatenate(
+            [np.ones_like(r)] + [r] * int(exponents.max()), axis=-1), axis=-1)
+        powers = falling.reshape(lead + falling.shape[-1:]) * np.moveaxis(
+            ladder[..., exponents], -2, 0)
+        decays = slopes.reshape(lead + slopes.shape[-1:]) * np.exp(-zetas * r)
+        prims = jets.multiply(powers, decays)
+        return np.sum(prims[..., None, :] * weights, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -279,19 +317,18 @@ def parse_sto(file) -> STOBasisSet:
 # Density and kinetic energy.
 # ---------------------------------------------------------------------------
 
-def density_derivs(basis: STOBasisSet, r: float) -> DensityDerivatives:
-    """rho and d1..d4 at radius r; rho = (1/4pi) sum occ R^2."""
-    if r <= 0.0:
+def density_derivs(basis: STOBasisSet, r) -> DensityDerivatives:
+    """rho and d1..d4 at radius r (a float or an array of radii)."""
+    if np.any(np.asarray(r) <= 0.0):
         raise ValueError(f"density_derivs needs r > 0, got {r!r}")
     return DensityDerivatives.from_jet(_density_jet(basis, r))
 
 
-def _density_jet(basis: STOBasisSet, r: float) -> np.ndarray:
-    total = np.zeros(jets.ORDERS)
-    for orb in basis.orbitals:
-        rj = orb.radial_jet(r)
-        total += orb.occ * jets.multiply(rj, rj)
-    return total / FOUR_PI
+def _density_jet(basis: STOBasisSet, r) -> np.ndarray:
+    """rho = (1/4pi) sum occ R^2, summed over the orbital axis."""
+    radial = basis.radial_jets(r)
+    return np.sum(basis.occupations * jets.multiply(radial, radial),
+                  axis=-1) / FOUR_PI
 
 
 def density_model(basis: STOBasisSet) -> DensityModel:
@@ -320,15 +357,14 @@ def hf_kinetic_quadrature(basis: STOBasisSet,
     if grid is None:
         grid = grid_for_density(density_model(basis))
 
-    def integrand(r: float) -> float:
-        total = 0.0
-        for orb in basis.orbitals:
-            rj = orb.radial_jet(r)
-            lap = rj[2] + 2.0 * rj[1] / r
-            if orb.l:
-                lap -= orb.l * (orb.l + 1) * rj[0] / (r * r)
-            total += orb.occ * rj[0] * lap
-        return -0.5 * total / FOUR_PI
+    l = np.array([orb.l for orb in basis.orbitals], dtype=float)
+
+    def integrand(r):
+        rj = basis.radial_jets(r)
+        r = np.asarray(r)[..., None]
+        lap = rj[2] + 2.0 * rj[1] / r - l * (l + 1.0) * rj[0] / (r * r)
+        return -0.5 * np.sum(basis.occupations * rj[0] * lap,
+                             axis=-1) / FOUR_PI
 
     return integrate_radial(integrand, grid)
 

@@ -20,14 +20,13 @@ import numpy as np
 from . import __version__
 from .atoms import BasisError, STOBasisSet, bundled_basis, density_model, \
     hf_kinetic, list_bundled, parse_sto
-from .hooke import HookeParams, SolverError, analytic_density_omega_half, \
-    singlet_ks_kinetic, solve_general
+from .hooke import SolverError, table_density
 from .kedf import tau_point
 from .radial import PV_WINDOW_FRACTION, DensityModel, PrincipalValueError, \
-    QuadratureError, find_poles, grid_for_density, load_density_table, \
+    QuadratureError, grid_for_density, load_density_table, \
     tabulated_derivatives
-from .resum import ALL_METHODS, PadePole, ResumMethod, pade11, pade21, \
-    run_methods
+from .resum import ALL_METHODS, PadePole, ResumMethod, error_columns, \
+    method_poles, pade11, pade21, partial_sum, tau_table
 
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
@@ -67,12 +66,6 @@ def _emit_row(headers, row, csv_path):
         click.echo(f"wrote {csv_path}")
 
 
-def _error_columns(model, t_ref, methods):
-    grid = grid_for_density(model)
-    reports = run_methods(model, methods, grid, t_ref)
-    return [f"{rep.percent_error:+.2f}" for rep in reports]
-
-
 @click.group()
 @click.version_option(version=__version__)
 def main():
@@ -94,16 +87,8 @@ def hooke(omega, non_interacting, methods, csv_path):
         raise click.BadParameter("--omega must be positive")
     method_list = _parse_methods(methods)
     try:
-        if (not non_interacting) and omega == 0.5:
-            model = analytic_density_omega_half()
-            grid = grid_for_density(model)
-            t_ref = singlet_ks_kinetic(model, grid)
-        else:
-            params = HookeParams(omega=omega,
-                                 interacting=not non_interacting)
-            solution = solve_general(params)
-            model, t_ref = solution.density, solution.T_exact
-        errors = _error_columns(model, t_ref, method_list)
+        model, t_ref = table_density(omega, interacting=not non_interacting)
+        errors = error_columns(model, t_ref, method_list)
     except SolverError as exc:
         _fail(EXIT_NUMERICAL, f"solver failed: {exc}")
     except (QuadratureError, PrincipalValueError, PadePole) as exc:
@@ -141,7 +126,7 @@ def atom(basis, methods, csv_path):
     try:
         model = density_model(basis_set)
         t_ref = hf_kinetic(basis_set)
-        errors = _error_columns(model, t_ref, method_list)
+        errors = error_columns(model, t_ref, method_list)
     except (QuadratureError, PrincipalValueError, PadePole) as exc:
         _fail(EXIT_NUMERICAL, str(exc))
     headers = (["element", "T_HF"]
@@ -162,9 +147,7 @@ def _dump_model(omega, basis, table) -> tuple[DensityModel, np.ndarray | None]:
     if omega is not None:
         if not (omega > 0.0 and math.isfinite(omega)):
             raise click.BadParameter("--omega must be positive")
-        if omega == 0.5:
-            return analytic_density_omega_half(), None
-        return solve_general(HookeParams(omega=omega)).density, None
+        return table_density(omega)[0], None
     if basis is not None:
         return density_model(_load_basis(basis)), None
     r, rho = load_density_table(table)
@@ -195,65 +178,48 @@ def dump(omega, basis, table, rmax, points, csv_path):
         _fail(EXIT_DATA, str(exc))
     except SolverError as exc:
         _fail(EXIT_NUMERICAL, f"solver failed: {exc}")
-
-    try:
-        if native_r is not None and rmax is None:
-            radii = native_r
-        else:
-            if rmax is None:
-                rmax = grid_for_density(model).r_max
-            elif not (rmax > 0.0):
-                raise click.BadParameter("--rmax must be positive")
-            radii = np.geomspace(rmax * 1e-4, rmax, points)
-
-        grid = grid_for_density(model)
-        pole_marks = []
-        for name, evaluator in (("pade11", pade11), ("pade21", pade21)):
-            for pole in _denominator_poles(model, name, grid):
-                pole_marks.append((name, pole))
-
-        rows = []
-        for r in radii:
-            d = model.eval(float(r))
-            p = tau_point(d, float(r))
-            cells = [d.rho, p.tau0, p.tau2, p.tau4, p.tau6,
-                     p.tau0 + p.tau2, p.tau0 + p.tau2 + p.tau4]
-            flags = []
-            for name, fn in (("pade11", pade11), ("pade21", pade21)):
-                try:
-                    cells.append(fn(p))
-                except PadePole:
-                    cells.append(float("nan"))
-                    flags.append(f"{name}-pole")
-            for name, pole in pole_marks:
-                if abs(r - pole) < PV_WINDOW_FRACTION * pole:
-                    mark = f"{name}-pole"
-                    if mark not in flags:
-                        flags.append(mark)
-            rows.append([f"{r:.12g}"] + [f"{c:.12g}" for c in cells]
-                        + [" ".join(flags)])
-    except (QuadratureError, PrincipalValueError) as exc:
+    except QuadratureError as exc:
         _fail(EXIT_NUMERICAL, str(exc))
 
+    if native_r is not None and rmax is None:
+        radii = native_r
+    else:
+        if rmax is None:
+            rmax = grid_for_density(model).r_max
+        elif not (rmax > 0.0):
+            raise click.BadParameter("--rmax must be positive")
+        elif model.r_support is not None and rmax > model.r_support:
+            raise click.BadParameter(
+                f"--rmax {rmax:g} lies beyond the density's support "
+                f"radius {model.r_support:.6g} bohr")
+        radii = np.geomspace(rmax * 1e-4, rmax, points)
+
+    try:
+        grid = grid_for_density(model)
+        table = tau_table(model, grid)
+        near_pole = {}
+        for method in (ResumMethod.PADE11, ResumMethod.PADE21):
+            near = np.zeros(radii.shape, dtype=bool)
+            for pole in method_poles(model, method, grid, table):
+                near |= np.abs(radii - pole) < PV_WINDOW_FRACTION * pole
+            near_pole[f"{method.value}-pole"] = near
+        d = model.eval(radii)
+        p = tau_point(d, radii)
+        columns = np.array([radii, d.rho, p.tau0, p.tau2, p.tau4, p.tau6,
+                            partial_sum(p, 2), partial_sum(p, 4),
+                            pade11(p), pade21(p)])
+    except (QuadratureError, PrincipalValueError, PadePole,
+            ValueError) as exc:
+        _fail(EXIT_NUMERICAL, str(exc))
+
+    rows = [[f"{c:.12g}" for c in cells]
+            + [" ".join(f for f, near in near_pole.items() if near[i])]
+            for i, cells in enumerate(columns.T)]
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(DUMP_COLUMNS)
         writer.writerows(rows)
     click.echo(f"wrote {len(rows)} rows to {csv_path}")
-
-
-def _denominator_poles(model, name, grid):
-    from .resum import _denominator
-    method = ResumMethod.PADE11 if name == "pade11" else ResumMethod.PADE21
-    denominator = _denominator(method)
-
-    def den(r):
-        return denominator(tau_point(model.eval(r), r))
-
-    try:
-        return find_poles(den, grid)
-    except Exception:
-        return []
 
 
 if __name__ == "__main__":

@@ -80,11 +80,11 @@ def kinetic_exact(sol: HookeSolution) -> float:
 def singlet_ks_kinetic(model: DensityModel, grid: RadialGrid) -> float:
     """(1/8) int (grad rho)^2 / rho: exact T_s for a 2e singlet."""
 
-    def integrand(r: float) -> float:
+    def integrand(r):
         d = model.eval(r)
-        if d.rho <= 0.0:
-            return 0.0
-        return d.d1 * d.d1 / (8.0 * d.rho)
+        live = d.rho > 0.0
+        return np.where(live, d.d1 * d.d1
+                        / (8.0 * np.where(live, d.rho, 1.0)), 0.0)[()]
 
     return integrate_radial(integrand, grid)
 
@@ -128,19 +128,39 @@ def _bracket_series_coeffs(n_terms: int = 22) -> np.ndarray:
 _BRACKET_COEFFS = _bracket_series_coeffs()
 
 
-def _bracket_jet(r: float) -> np.ndarray:
+def _piecewise(r, switch: float, near, far) -> np.ndarray:
+    """Jet from ``near`` below ``switch`` and ``far`` from it on.
+
+    r is a float or a 1-d array; each branch sees only its own radii,
+    as a 1-d array, so neither is ever evaluated outside its range.
+    """
+
+    r = np.asarray(r, dtype=float)
+    flat = r.reshape(-1)
+    out = np.empty((jets.ORDERS, flat.size))
+    small = flat < switch
+    if np.any(small):
+        out[:, small] = near(flat[small])
+    if not np.all(small):
+        out[:, ~small] = far(flat[~small])
+    return out.reshape((jets.ORDERS,) + r.shape)
+
+
+def _bracket_far(r: np.ndarray) -> np.ndarray:
+    q = jets.power(r, 1) + jets.power(r, -1)
+    return _SQRT_PI_HALF * (jets.polynomial(r, (1.75, 0.0, 0.25))
+                            + jets.multiply(q, jets.erf_scaled(r, _INV_SQRT2)))
+
+
+def _bracket_jet(r) -> np.ndarray:
     """Jet of the curly bracket, exact-arithmetic safe near r = 0."""
-    if r < _SERIES_SWITCH:
-        poly = jets.polynomial(r, _BRACKET_COEFFS)
-    else:
-        q = jets.power(r, 1) + jets.power(r, -1)
-        poly = _SQRT_PI_HALF * (
-            jets.polynomial(r, (1.75, 0.0, 0.25))
-            + jets.multiply(q, jets.erf_scaled(r, _INV_SQRT2)))
+    poly = _piecewise(r, _SERIES_SWITCH,
+                      lambda x: jets.polynomial(x, _BRACKET_COEFFS),
+                      _bracket_far)
     return poly + jets.gaussian(r, 0.5)
 
 
-def _display_profile(r: float) -> np.ndarray:
+def _display_profile(r) -> np.ndarray:
     return _N0_SQUARED * jets.multiply(jets.gaussian(r, 0.5),
                                        _bracket_jet(r))
 
@@ -159,7 +179,7 @@ def analytic_density_omega_half() -> DensityModel:
     measured = integrate_radial(raw.rho, grid)
     scale = 2.0 / measured
 
-    def profile(r: float) -> np.ndarray:
+    def profile(r) -> np.ndarray:
         return scale * _display_profile(r)
 
     model = DensityModel(profile=profile, electron_count=2.0,
@@ -333,23 +353,25 @@ def _reconstruct_density(omega: float, s: np.ndarray, u: np.ndarray,
             np.sum(w_of_s * herm0[k_odd] * gauss0))
         series_coeffs[k_odd - 1] = pref * j_k / math.factorial(k_odd)
     switch = 0.2 / sqrt_c
+    signs = np.cumprod([1.0] + [-sqrt_c] * (jets.ORDERS - 1))[:, None]
 
-    def profile(r: float) -> np.ndarray:
-        if r < switch:
-            return jets.polynomial(r, series_coeffs)
-        x_minus = sqrt_c * (r - half_nodes)
-        x_plus = sqrt_c * (r + half_nodes)
-        g_minus = np.exp(-x_minus * x_minus)
-        g_plus = np.exp(-x_plus * x_plus)
-        h_minus = jets.hermite_values(x_minus, 4)
-        h_plus = jets.hermite_values(x_plus, 4)
-        j_jet = np.empty(jets.ORDERS)
-        sign = 1.0
-        for k in range(jets.ORDERS):
-            j_jet[k] = sign * float(
-                np.sum(w_of_s * (h_minus[k] * g_minus - h_plus[k] * g_plus)))
-            sign *= -sqrt_c
+    # Both shifted Gaussians, r - s/2 and r + s/2, in one array.
+    shifts = np.stack((-half_nodes, half_nodes))[:, None, :]
+
+    def far(r: np.ndarray) -> np.ndarray:
+        # (5, 2, r.size, 864): DensityModel keeps r.size to EVAL_BLOCK.
+        x = sqrt_c * (r[:, None] + shifts)
+        kernel = jets.hermite_values(x, 4)
+        kernel *= np.exp(-x * x)
+        terms = kernel[:, 0]
+        terms -= kernel[:, 1]
+        terms *= w_of_s
+        j_jet = signs * np.sum(terms, axis=-1)
         return pref * jets.multiply(jets.power(r, -1), j_jet)
+
+    def profile(r) -> np.ndarray:
+        return _piecewise(r, switch,
+                          lambda x: jets.polynomial(x, series_coeffs), far)
 
     # Beyond s_max/2 plus the representable width of exp(-c t^2) every
     # kernel underflows to zero; stop trusting the profile well before.
@@ -408,3 +430,19 @@ def solve_general(params: HookeParams, n_points: int = 8001,
         eps_rel=float(eps_rel),
         kinetic_expectation=0.75 * omega + float(t_rel),
     )
+
+
+def table_density(omega: float,
+                  interacting: bool = True) -> tuple[DensityModel, float]:
+    """The density and reference T_s of one accuracy-table row.
+
+    The interacting pair at omega = 1/2 uses the closed form, with T_s
+    integrated on its tail-rule grid; every other case runs the solver.
+    """
+
+    if interacting and omega == 0.5:
+        model = analytic_density_omega_half()
+        return model, singlet_ks_kinetic(model, grid_for_density(model))
+    solution = solve_general(HookeParams(omega=omega,
+                                         interacting=interacting))
+    return solution.density, solution.T_exact

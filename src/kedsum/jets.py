@@ -29,27 +29,36 @@ _BINOM = (
 )
 
 
+# multiply's pairs (j, k - j) for j = 0..k//2, order by order, and their
+# weights: the binomial, halved on the diagonal j = k - j because the
+# symmetric pair sum counts a_j b_j twice there (exactly, by a power of 2).
+_PAIR_J, _PAIR_K_J, _PAIR_WEIGHT = (np.array(v) for v in zip(*[
+    (j, k - j, _BINOM[k][j] / (2.0 if 2 * j == k else 1.0))
+    for k in range(ORDERS) for j in range(k // 2 + 1)]))
+# For each order, up to three pair indices into the weighted terms; index
+# len(_PAIR_J) is an appended zero that pads the shorter orders.
+_NONE = len(_PAIR_J)
+_FIRST, _SECOND, _THIRD = (np.array(v) for v in zip(
+    (0, _NONE, _NONE), (1, _NONE, _NONE), (2, 3, _NONE), (4, 5, _NONE),
+    (6, 7, 8)))
+
+
 def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Leibniz product: (fg)^(k) = sum_j C(k,j) f^(j) g^(k-j).
 
     Terms j and k-j share a binomial and are added as a pair before the
     pairs are summed, so ``multiply(a, b)`` and ``multiply(b, a)`` round
-    identically even where the sum cancels.
+    identically even where the sum cancels.  All pairs of all orders are
+    formed in a few whole-array operations.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    shape = np.broadcast_shapes(a.shape, b.shape)
-    out = np.zeros(shape)
-    for k in range(ORDERS):
-        acc = 0.0
-        for j in range(k // 2 + 1):
-            if 2 * j == k:
-                pair = a[j] * b[j]
-            else:
-                pair = a[j] * b[k - j] + a[k - j] * b[j]
-            acc = acc + _BINOM[k][j] * pair
-        out[k] = acc
-    return out
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
+                               np.asarray(b, dtype=float))
+    outer = a[:, None] * b[None, :]
+    pairs = (outer + outer.swapaxes(0, 1))[_PAIR_J, _PAIR_K_J]
+    weight = _PAIR_WEIGHT.reshape((-1,) + (1,) * (pairs.ndim - 1))
+    terms = np.concatenate((weight * pairs,
+                            np.zeros((1,) + pairs.shape[1:])))
+    return (terms[_FIRST] + terms[_SECOND]) + terms[_THIRD]
 
 
 def constant(c: float, r=None) -> np.ndarray:
@@ -82,20 +91,24 @@ def power(r, m: int) -> np.ndarray:
 
 
 def polynomial(r, coeffs) -> np.ndarray:
-    """sum_m coeffs[m] * r**m, derivatives taken term by term."""
+    """sum_m coeffs[m] * r**m, derivatives taken term by term.
+
+    d^k/dr^k sum_m c_m r^m = sum_j c_(j+k) (j+k)!/j! r^j: one matrix of
+    derivative coefficients times the powers r^0 .. r^(M-1), summed
+    along a last axis so that a radius gets the same bits alone as in a
+    batch.
+    """
     r = np.asarray(r, dtype=float)
-    out = np.zeros((ORDERS,) + r.shape)
-    for k in range(ORDERS):
-        acc = np.zeros_like(r)
-        for m in range(len(coeffs) - 1, -1, -1):
-            if m - k < 0:
-                continue
-            fall = 1.0
-            for i in range(k):
-                fall *= m - i
-            acc = acc + coeffs[m] * fall * r ** (m - k)
-        out[k] = acc
-    return out
+    coeffs = np.asarray(coeffs, dtype=float)
+    size = coeffs.size
+    m = np.arange(size)
+    table = np.zeros((ORDERS, size))
+    fall = np.ones(size)
+    for k in range(min(ORDERS, size)):
+        table[k, :size - k] = (coeffs * fall)[k:]
+        fall = fall * (m - k)
+    powers = r[..., None, None] ** m
+    return np.moveaxis(np.sum(table * powers, axis=-1), -1, 0)
 
 
 def hermite_values(x, n_max: int) -> np.ndarray:

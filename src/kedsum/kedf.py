@@ -9,6 +9,10 @@ radial derivatives rho', rho'', rho''', rho'''' -- those reductions live
 here and are validated against a brute-force 3-d Cartesian oracle in the
 test suite.
 
+Every function takes one radius (floats) or a batch of radii (1-d
+arrays, elementwise): the same code fills the tau table on a whole grid
+and serves the scalar callbacks of quadrature and bisection.
+
 All coefficients are exact rationals times powers of (3 pi^2); nothing
 is pre-rounded to decimals.  Atomic units throughout: energies in
 hartree, lengths in bohr, tau in hartree/bohr^3.
@@ -18,6 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .radial import DensityDerivatives
 
@@ -30,7 +36,7 @@ _C6 = (3.0 * math.pi ** 2) ** (-4.0 / 3.0) / 45360.0
 
 @dataclass(frozen=True)
 class Contractions:
-    """Scalar gradient contractions of rho at one radius.
+    """Scalar gradient contractions of rho at one radius or a batch.
 
     g2         (grad rho)^2
     lap        laplacian of rho
@@ -41,25 +47,35 @@ class Contractions:
                projected: for spherical symmetry (rho' rho'')^2
     """
 
-    g2: float
-    lap: float
-    glap2: float
-    lap4: float
-    g_dot_glap: float
-    g_hess2: float
+    g2: float | np.ndarray
+    lap: float | np.ndarray
+    glap2: float | np.ndarray
+    lap4: float | np.ndarray
+    g_dot_glap: float | np.ndarray
+    g_hess2: float | np.ndarray
 
 
 @dataclass(frozen=True)
 class TauPoint:
-    """The four expansion terms of the kinetic energy density at one r."""
+    """The four expansion terms of the kinetic energy density.
 
-    tau0: float
-    tau2: float
-    tau4: float
-    tau6: float
+    Floats at one radius; at a batch of radii each field is a 1-d
+    array, and the four rows make up the (4, n) tau table.
+    """
+
+    tau0: float | np.ndarray
+    tau2: float | np.ndarray
+    tau4: float | np.ndarray
+    tau6: float | np.ndarray
 
 
-def contractions(d: DensityDerivatives, r: float) -> Contractions:
+def any_true(mask) -> bool:
+    """np.any for one radius (a bool) or a batch (an array), without
+    np.any's dispatch cost on the scalar callbacks."""
+    return bool(mask.any() if isinstance(mask, np.ndarray) else mask)
+
+
+def contractions(d: DensityDerivatives, r) -> Contractions:
     """Spherical reduction of the 3-d gradient contractions.
 
     With L = rho'' + 2 rho'/r the Laplacian, the gradient of L is radial
@@ -68,9 +84,11 @@ def contractions(d: DensityDerivatives, r: float) -> Contractions:
     (radial) gradient onto rho' rho'' r_hat.
     """
 
-    if r <= 0.0:
-        raise ValueError(f"contractions need r > 0, got r={r!r}")
+    if any_true(r <= 0.0):
+        raise ValueError(
+            f"contractions need r > 0, got r={float(np.min(r))!r}")
     inv_r = 1.0 / r
+    slope_curvature = d.d1 * d.d2
     lap = d.d2 + 2.0 * d.d1 * inv_r
     lap_prime = d.d3 + 2.0 * d.d2 * inv_r - 2.0 * d.d1 * inv_r * inv_r
     return Contractions(
@@ -79,33 +97,44 @@ def contractions(d: DensityDerivatives, r: float) -> Contractions:
         glap2=lap_prime * lap_prime,
         lap4=d.d4 + 4.0 * d.d3 * inv_r,
         g_dot_glap=d.d1 * lap_prime,
-        g_hess2=(d.d1 * d.d2) ** 2,
+        g_hess2=slope_curvature * slope_curvature,
     )
 
 
-def tau0(rho: float) -> float:
+def _require_density(rho, name: str, strict: bool):
+    """Refuse negative densities (and zero ones when ``strict``)."""
+    if any_true(rho <= 0.0 if strict else rho < 0.0):
+        bound = "rho > 0" if strict else "rho >= 0"
+        raise ValueError(f"{name} needs {bound}, got rho="
+                         f"{float(np.min(rho))!r}")
+
+
+def tau0(rho):
     """Thomas-Fermi term C_TF rho^(5/3)."""
-    if rho < 0.0:
-        raise ValueError(f"negative density rho={rho!r}")
+    _require_density(rho, "tau0", strict=False)
     return C_TF * rho ** (5.0 / 3.0)
 
 
-def tau2(rho: float, g2: float) -> float:
-    """Second-order term (grad rho)^2 / (72 rho)."""
-    if rho < 0.0:
-        raise ValueError(f"negative density rho={rho!r}")
-    if rho == 0.0:
-        if g2 == 0.0:
-            return 0.0
+def tau2(rho, g2):
+    """Second-order term (grad rho)^2 / (72 rho).
+
+    Zero where the density and its gradient both vanish; a vanishing
+    density with a nonzero gradient has no limit and raises.
+    """
+    _require_density(rho, "tau2", strict=False)
+    vanishing = rho == 0.0
+    if not any_true(vanishing):
+        return g2 / (72.0 * rho)
+    if any_true(vanishing & (g2 != 0.0)):
         raise ValueError("tau2 undefined: vanishing density with a "
                          "nonzero gradient")
-    return g2 / (72.0 * rho)
+    return np.where(vanishing, 0.0,
+                    g2 / (72.0 * np.where(vanishing, 1.0, rho)))[()]
 
 
-def tau4(c: Contractions, rho: float) -> float:
+def tau4(c: Contractions, rho):
     """Fourth-order term (Hodges)."""
-    if rho <= 0.0:
-        raise ValueError(f"tau4 needs rho > 0, got rho={rho!r}")
+    _require_density(rho, "tau4", strict=True)
     q = c.lap / rho
     # Dividing twice instead of forming rho**2 keeps the intermediates
     # representable far out in the tail, where rho**2 underflows long
@@ -115,27 +144,27 @@ def tau4(c: Contractions, rho: float) -> float:
                                        + 1.0 / 3.0 * p * p)
 
 
-def tau6(c: Contractions, rho: float) -> float:
+def tau6(c: Contractions, rho):
     """Sixth-order term (Murphy); diverges in atomic cusps and tails."""
-    if rho <= 0.0:
-        raise ValueError(f"tau6 needs rho > 0, got rho={rho!r}")
+    _require_density(rho, "tau6", strict=True)
     q = c.lap / rho
     p = c.g2 / rho / rho
     bracket = (
         13.0 * (c.glap2 / rho / rho)
-        + 2575.0 / 144.0 * q ** 3
+        + 2575.0 / 144.0 * q * q * q
         + 249.0 / 16.0 * p * (c.lap4 / rho)
         + 1499.0 / 18.0 * p * q * q
         - 1307.0 / 36.0 * p * (c.g_dot_glap / rho / rho)
         + 343.0 / 18.0 * (c.g_hess2 / rho / rho / rho / rho)
         + 8341.0 / 72.0 * q * p * p
-        - 1600495.0 / 2592.0 * p ** 3
+        - 1600495.0 / 2592.0 * p * p * p
     )
     return _C6 * rho ** (-1.0 / 3.0) * bracket
 
 
-def tau_point(d: DensityDerivatives, r: float) -> TauPoint:
-    """All four expansion terms at radius r."""
+def tau_point(d: DensityDerivatives, r) -> TauPoint:
+    """All four expansion terms at radius r, or at every radius of a
+    batch (then a (4, n) table)."""
     c = contractions(d, r)
     return TauPoint(
         tau0=tau0(d.rho),

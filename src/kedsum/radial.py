@@ -44,6 +44,11 @@ QUAD_LIMIT = 400
 # rows of the accuracy tables.
 TAIL_TOLERANCE = 3e-13
 
+# DensityModel evaluates an array of radii this many at a time, which
+# bounds the temporaries of every profile (the Hooke reconstruction
+# holds (5, 2, block, 864) arrays) and so the process's peak memory.
+EVAL_BLOCK = 16
+
 # Principal-value window: delta = min(PV_WINDOW_FRACTION * r_pole,
 # half the distance to the nearest pole or domain endpoint).
 PV_WINDOW_FRACTION = 0.05
@@ -69,18 +74,19 @@ class PrincipalValueError(RuntimeError):
 
 @dataclass(frozen=True)
 class DensityDerivatives:
-    """One density sample: rho and d^k rho/dr^k for k = 1..4."""
+    """rho and d^k rho/dr^k for k = 1..4, at one radius (floats) or at
+    a batch of radii (1-d arrays)."""
 
-    rho: float
-    d1: float
-    d2: float
-    d3: float
-    d4: float
+    rho: float | np.ndarray
+    d1: float | np.ndarray
+    d2: float | np.ndarray
+    d3: float | np.ndarray
+    d4: float | np.ndarray
 
     @classmethod
     def from_jet(cls, jet) -> "DensityDerivatives":
-        return cls(float(jet[0]), float(jet[1]), float(jet[2]),
-                   float(jet[3]), float(jet[4]))
+        jet = np.asarray(jet, dtype=float)
+        return cls(*(jet.tolist() if jet.ndim == 1 else jet))
 
     def as_jet(self) -> np.ndarray:
         return np.array([self.rho, self.d1, self.d2, self.d3, self.d4])
@@ -94,24 +100,38 @@ class DensityDerivatives:
 class DensityModel:
     """A radial density with four derivatives available at any r > 0.
 
-    ``profile`` maps a radius to a derivative jet (see ``jets``).
-    ``electron_count`` is the analytic or measured value of
-    ``4 pi int r^2 rho dr``; shipped models must satisfy it to 1e-8
-    relative.  ``r_support`` bounds the trustworthy domain for models
-    that only exist on a finite table.
+    ``profile`` maps a float radius to a ``(5,)`` derivative jet and a
+    1-d array of n radii to a ``(5, n)`` jet (see ``jets``); ``eval``
+    and ``rho`` follow the same contract, calling ``profile`` on at most
+    ``EVAL_BLOCK`` radii at a time.  ``electron_count`` is the
+    analytic or measured value of ``4 pi int r^2 rho dr``; shipped
+    models must satisfy it to 1e-8 relative.  ``r_support`` bounds the
+    trustworthy domain for models that only exist on a finite table.
     """
 
-    profile: Callable[[float], np.ndarray]
+    profile: Callable[[float | np.ndarray], np.ndarray]
     electron_count: float
     kind: str = "analytic"
     label: str = ""
     r_support: float | None = None
 
-    def eval(self, r: float) -> DensityDerivatives:
-        return DensityDerivatives.from_jet(self.profile(r))
+    def _jet(self, r) -> np.ndarray:
+        """``profile(r)``, an array taken EVAL_BLOCK radii at a time."""
+        if np.ndim(r) == 0:
+            return self.profile(r)
+        r = np.asarray(r, dtype=float)
+        if r.size <= EVAL_BLOCK:
+            return self.profile(r)
+        return np.concatenate([self.profile(r[i:i + EVAL_BLOCK])
+                               for i in range(0, r.size, EVAL_BLOCK)],
+                              axis=1)
 
-    def rho(self, r: float) -> float:
-        return float(self.profile(r)[0])
+    def eval(self, r) -> DensityDerivatives:
+        return DensityDerivatives.from_jet(self._jet(r))
+
+    def rho(self, r):
+        value = self._jet(r)[0]
+        return value if np.ndim(value) else float(value)
 
 
 @dataclass(frozen=True)
@@ -133,6 +153,11 @@ class RadialGrid:
     @property
     def r_max(self) -> float:
         return float(self.nodes[-1])
+
+    @property
+    def positive_nodes(self) -> np.ndarray:
+        """The nodes with r > 0, where integrands are tabulated."""
+        return self.nodes[self.nodes > 0.0]
 
     @classmethod
     def power_spaced(cls, r_min: float, r_max: float, n: int,
@@ -184,10 +209,17 @@ def grid_for_density(model: DensityModel, n: int = 1600,
     return RadialGrid.power_spaced(r_min, r, n, exponent)
 
 
-def _quad_segment(g: Callable[[float], float], lo: float, hi: float) -> float:
-    value, abserr, info = quad(g, lo, hi, epsabs=QUAD_ABSTOL,
-                               epsrel=QUAD_RELTOL, limit=QUAD_LIMIT,
-                               full_output=True)[:3]
+def _weighted(f: Callable, r):
+    """The radial measure 4 pi r^2 times f, for a float or an array."""
+    return FOUR_PI * r * r * f(r)
+
+
+def _quad_segment(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """QUADPACK on ``4 pi r^2 f`` over [lo, hi], f called one r at a time."""
+    value, abserr, info = quad(
+        lambda r: _weighted(f, r) if r > 0.0 else 0.0, lo, hi,
+        epsabs=QUAD_ABSTOL, epsrel=QUAD_RELTOL, limit=QUAD_LIMIT,
+        full_output=True)[:3]
     # QUADPACK flags trouble through the ier field of the info dict.
     # full_output=True suppresses the warning and lets us raise with the
     # best estimate attached.
@@ -205,54 +237,57 @@ def _quad_segment(g: Callable[[float], float], lo: float, hi: float) -> float:
     return value
 
 
-def integrate_radial(f: Callable[[float], float], grid: RadialGrid) -> float:
+def integrate_radial(f: Callable, grid: RadialGrid,
+                     node_values: np.ndarray | None = None) -> float:
     """Adaptive estimate of ``4 pi int_0^rmax r^2 f(r) dr``.
 
-    f is checked for finiteness on the grid nodes first, so a broken
-    integrand fails loudly with the offending radius instead of
-    poisoning the quadrature.
+    f takes a float or an array of radii.  Its values on the positive
+    grid nodes -- ``node_values`` when the caller already holds them,
+    else one batched ``f(grid.positive_nodes)`` -- are checked for
+    finiteness first, so a broken integrand fails loudly with the
+    offending radius instead of poisoning the quadrature.  QUADPACK
+    then calls f one radius at a time.
     """
 
-    for r in grid.nodes:
-        if r == 0.0:
-            continue
-        val = f(r)
-        if not math.isfinite(val):
-            raise QuadratureError(
-                f"integrand is not finite at node r={r:.12g} (got {val})")
-
-    def weighted(r: float) -> float:
-        if r <= 0.0:
-            return 0.0
-        return FOUR_PI * r * r * f(r)
-
-    return _quad_segment(weighted, 0.0, grid.r_max)
+    nodes = grid.positive_nodes
+    values = f(nodes) if node_values is None else node_values
+    values = np.broadcast_to(np.asarray(values, dtype=float), nodes.shape)
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise QuadratureError(
+            f"integrand is not finite at node r={nodes[i]:.12g} "
+            f"(got {values[i]})")
+    return _quad_segment(f, 0.0, grid.r_max)
 
 
-def find_poles(denominator: Callable[[float], float],
-               grid: RadialGrid) -> list[float]:
+def find_poles(denominator: Callable, grid: RadialGrid,
+               node_values: np.ndarray | None = None) -> list[float]:
     """Locate sign changes of ``denominator`` between adjacent nodes.
 
-    Each bracket is narrowed by bisection until its width drops below
-    1e-12 * r_max.  Only odd-order (sign-changing) roots are seen, which
-    is what the principal-value machinery can handle anyway.
+    The scan reads the denominator on the positive grid nodes:
+    ``node_values`` when the caller already holds them, else one batched
+    ``denominator(grid.positive_nodes)``.  Each bracket is then narrowed
+    by scalar bisection until its width drops below 1e-12 * r_max.  Only
+    odd-order (sign-changing) roots are seen, which is what the
+    principal-value machinery can handle anyway.
     """
 
-    nodes = grid.nodes[grid.nodes > 0.0]
-    values = np.array([denominator(r) for r in nodes])
+    nodes = grid.positive_nodes
+    values = denominator(nodes) if node_values is None else node_values
+    values = np.broadcast_to(np.asarray(values, dtype=float), nodes.shape)
     if not np.all(np.isfinite(values)):
         bad = nodes[~np.isfinite(values)][0]
         raise ValueError(f"denominator is not finite at r={bad:.12g}")
 
     width_target = 1e-12 * grid.r_max
     poles: list[float] = []
-    for i in range(len(nodes) - 1):
+    left, right = values[:-1], values[1:]
+    for i in np.flatnonzero((left == 0.0) | (left * right < 0.0)):
         a, b = float(nodes[i]), float(nodes[i + 1])
-        fa, fb = float(values[i]), float(values[i + 1])
+        fa = float(values[i])
         if fa == 0.0:
             poles.append(a)
-            continue
-        if fa * fb >= 0.0:
             continue
         while b - a > width_target:
             mid = 0.5 * (a + b)
@@ -284,25 +319,28 @@ def _pole_windows(poles: Sequence[float], r_max: float) -> list[float]:
     return deltas
 
 
-def _residue(g: Callable[[float], float], pole: float, delta: float) -> float:
-    """Estimate A = lim (r - r*) g(r) by two-sided Richardson steps.
+def _residue(f: Callable, pole: float, delta: float) -> float:
+    """Estimate A = lim (r - r*) g(r), g = 4 pi r^2 f, by two-sided
+    Richardson steps.
 
     The symmetric average kills the odd error terms, so the ladder
     converges as h^2, h^4, ...  A ladder that does not settle flags a
     pole that is not simple, and the PV prescription does not apply.
+    Both sides of the ladder, and the window edges, are one batch each.
     """
 
-    steps = [delta / 2.0, delta / 4.0, delta / 8.0, delta / 16.0]
-    averages = []
-    for h in steps:
-        averages.append(0.5 * (h * g(pole + h) - h * g(pole - h)))
+    offsets = delta / np.array([1.0, 2.0, 4.0, 8.0, 16.0])
+    above = _weighted(f, pole + offsets)
+    below = _weighted(f, pole - offsets)
+    steps = offsets[1:]
+    averages = list(0.5 * (steps * above[1:] - steps * below[1:]))
     # One Richardson sweep in h^2, then another in h^4.
     first = [(4.0 * averages[i + 1] - averages[i]) / 3.0
              for i in range(len(averages) - 1)]
     second = [(16.0 * first[i + 1] - first[i]) / 15.0
               for i in range(len(first) - 1)]
     best, previous = second[-1], second[-2]
-    edge_scale = delta * max(abs(g(pole + delta)), abs(g(pole - delta)))
+    edge_scale = delta * max(abs(above[0]), abs(below[0]))
     scale = max(abs(best), edge_scale, 1e-30)
     # Deliberately coarse test: an odd-order pole makes the ladder grow
     # by factors of four per step, so the mismatch lands at order one,
@@ -311,29 +349,28 @@ def _residue(g: Callable[[float], float], pole: float, delta: float) -> float:
     if abs(best - previous) > 1e-2 * scale:
         raise PrincipalValueError(
             f"residue estimate did not converge at r={pole:.8g} "
-            f"(ladder {averages} -> {best:.6g}); pole does not look simple")
+            f"(ladder {[float(a) for a in averages]} -> {best:.6g}); "
+            "pole does not look simple")
     return best
 
 
-def _window_integral(g: Callable[[float], float], pole: float,
-                     delta: float) -> float:
-    """Integral of g - A/(r - r*) over the symmetric window.
+def _window_integral(f: Callable, pole: float, delta: float) -> float:
+    """Integral of g - A/(r - r*), g = 4 pi r^2 f, over the window.
 
     Evaluated as int_0^delta [g(r*+t) + g(r*-t)] dt: mirrored nodes make
     the subtracted 1/(r - r*) term cancel pairwise, so its symmetric
     principal value is zero exactly by construction.  The folded
-    integrand is smooth, so a fixed Gauss-Legendre rule suffices.
+    integrand is smooth, so a fixed Gauss-Legendre rule suffices; its
+    128 mirrored nodes are evaluated as one batch.
     """
 
     t = 0.5 * delta * (_PV_GAUSS_NODES + 1.0)
     w = 0.5 * delta * _PV_GAUSS_WEIGHTS
-    total = 0.0
-    for ti, wi in zip(t, w):
-        total += wi * (g(pole + ti) + g(pole - ti))
-    return total
+    mirrored = _weighted(f, np.concatenate((pole + t, pole - t)))
+    return float(np.dot(w, mirrored[:t.size] + mirrored[t.size:]))
 
 
-def principal_value_integrate(f: Callable[[float], float],
+def principal_value_integrate(f: Callable,
                               poles: Sequence[float],
                               grid: RadialGrid) -> float:
     """Cauchy principal value of ``4 pi int r^2 f dr`` across simple poles.
@@ -341,7 +378,8 @@ def principal_value_integrate(f: Callable[[float], float],
     With no poles this is exactly ``integrate_radial``.  Otherwise the
     domain is split into plain segments plus a symmetric window around
     each pole; the window uses pole subtraction (see _window_integral)
-    and the residue ladder doubles as a simple-pole sanity check.
+    and the residue ladder doubles as a simple-pole sanity check.  f
+    takes a float or an array of radii, as for ``integrate_radial``.
     """
 
     poles = sorted(float(p) for p in poles)
@@ -360,22 +398,17 @@ def principal_value_integrate(f: Callable[[float], float],
                 f"poles at r={left:.8g} and r={right:.8g} are too close "
                 "to separate with symmetric windows")
 
-    def weighted(r: float) -> float:
-        if r <= 0.0:
-            return 0.0
-        return FOUR_PI * r * r * f(r)
-
     deltas = _pole_windows(poles, r_max)
     total = 0.0
     cursor = 0.0
     for pole, delta in zip(poles, deltas):
         if pole - delta > cursor:
-            total += _quad_segment(weighted, cursor, pole - delta)
-        _residue(weighted, pole, delta)
-        total += _window_integral(weighted, pole, delta)
+            total += _quad_segment(f, cursor, pole - delta)
+        _residue(f, pole, delta)
+        total += _window_integral(f, pole, delta)
         cursor = pole + delta
     if cursor < r_max:
-        total += _quad_segment(weighted, cursor, r_max)
+        total += _quad_segment(f, cursor, r_max)
     return total
 
 
@@ -450,12 +483,11 @@ def tabulated_derivatives(r: np.ndarray, rho: np.ndarray,
     spline = UnivariateSpline(r, np.log(rho), k=5, s=smoothing)
     dsplines = [spline.derivative(k) for k in range(1, 5)]
 
-    def profile(radius: float) -> np.ndarray:
-        y1 = float(dsplines[0](radius))
-        y2 = float(dsplines[1](radius))
-        y3 = float(dsplines[2](radius))
-        y4 = float(dsplines[3](radius))
-        value = math.exp(float(spline(radius)))
+    def profile(radius) -> np.ndarray:
+        # FITPACK returns 0-d arrays for a float radius; [()] turns
+        # them into numpy floats, which are cheaper to combine.
+        y1, y2, y3, y4 = (d(radius)[()] for d in dsplines)
+        value = np.exp(spline(radius)[()])
         # Faa di Bruno for exp(y(r)).
         return np.array([
             value,

@@ -18,14 +18,12 @@ is then taken as a Cauchy principal value (see ``radial``).
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
-from .kedf import TauPoint, tau_point
-from .radial import (DensityModel, RadialGrid, find_poles,
+from .kedf import TauPoint, any_true, tau_point
+from .radial import (DensityModel, RadialGrid, find_poles, grid_for_density,
                      integrate_radial, principal_value_integrate)
 
 
@@ -115,7 +113,7 @@ def percent_error(t: float, t_ref: float) -> float:
     return 100.0 * (t - t_ref) / t_ref
 
 
-def partial_sum(p: TauPoint, order: int) -> float:
+def partial_sum(p: TauPoint, order: int):
     """Sum of the expansion through the given (even) order."""
     if order == 0:
         return p.tau0
@@ -128,7 +126,26 @@ def partial_sum(p: TauPoint, order: int) -> float:
     raise ValueError(f"order must be 0, 2, 4 or 6, got {order!r}")
 
 
-def pade11(p: TauPoint) -> float:
+def _rational(base, lead, square, den, pole_message: str):
+    """base + square / den, elementwise.
+
+    Where den == 0 the correction is removable if its leading term
+    ``lead`` vanishes too (the value is then ``base``); otherwise the
+    point is a genuine pole and PadePole is raised.
+    """
+
+    zero = den == 0.0
+    if not any_true(zero):
+        return base + square / den
+    pole = zero & (lead != 0.0)
+    if any_true(pole):
+        value = float(np.broadcast_to(lead, np.shape(pole))[pole][0])
+        raise PadePole(f"{pole_message} {value!r}")
+    return np.where(zero, base,
+                    base + square / np.where(zero, 1.0, den))[()]
+
+
+def pade11(p: TauPoint):
     """[1/1] resummation tau0 + tau2^2 / (tau2 - tau4).
 
     When tau2 == tau4 == 0 the correction is removable and the value is
@@ -136,25 +153,16 @@ def pade11(p: TauPoint) -> float:
     is a genuine pole and PadePole is raised.
     """
 
-    den = p.tau2 - p.tau4
-    if den == 0.0:
-        if p.tau2 == 0.0:
-            return p.tau0
-        raise PadePole(f"[1/1] pole: tau2 == tau4 == {p.tau2!r}")
-    return p.tau0 + p.tau2 * p.tau2 / den
+    return _rational(p.tau0, p.tau2, p.tau2 * p.tau2, p.tau2 - p.tau4,
+                     "[1/1] pole: tau2 == tau4 ==")
 
 
-def pade21(p: TauPoint) -> float:
+def pade21(p: TauPoint):
     """[2/1] resummation tau0 + tau2 + tau4^2 / (tau4 - tau6)."""
-    den = p.tau4 - p.tau6
-    if den == 0.0:
-        if p.tau4 == 0.0:
-            return p.tau0 + p.tau2
-        raise PadePole(f"[2/1] pole: tau4 == tau6 == {p.tau4!r}")
-    return p.tau0 + p.tau2 + p.tau4 * p.tau4 / den
+    return pade21_of_x(p, 1.0)
 
 
-def pade21_of_x(p: TauPoint, x: float) -> float:
+def pade21_of_x(p: TauPoint, x: float):
     """[2/1] approximant in the order-counting variable x.
 
     f(x) = tau0 + tau2 x + tau4^2 x^2 / (tau4 - tau6 x); f(1) = pade21.
@@ -162,66 +170,103 @@ def pade21_of_x(p: TauPoint, x: float) -> float:
     with remainder tau6^2 x^4 / (tau4 - tau6 x).
     """
 
-    den = p.tau4 - p.tau6 * x
-    if den == 0.0:
-        if p.tau4 == 0.0:
-            return p.tau0 + p.tau2 * x
-        raise PadePole(f"[2/1](x={x!r}) pole: tau4 == tau6 x")
-    return p.tau0 + p.tau2 * x + p.tau4 * p.tau4 * x * x / den
+    return _rational(p.tau0 + p.tau2 * x, p.tau4, p.tau4 * p.tau4 * x * x,
+                     p.tau4 - p.tau6 * x,
+                     f"[2/1](x={x!r}) pole: tau4 == tau6 x ==")
 
 
-def _evaluator(method: ResumMethod) -> Callable[[TauPoint], float]:
-    return {
-        ResumMethod.T0: lambda p: partial_sum(p, 0),
-        ResumMethod.T02: lambda p: partial_sum(p, 2),
-        ResumMethod.T024: lambda p: partial_sum(p, 4),
-        ResumMethod.PADE11: pade11,
-        ResumMethod.PADE21: pade21,
-    }[method]
+_EVALUATORS = {
+    ResumMethod.T0: lambda p: partial_sum(p, 0),
+    ResumMethod.T02: lambda p: partial_sum(p, 2),
+    ResumMethod.T024: lambda p: partial_sum(p, 4),
+    ResumMethod.PADE11: pade11,
+    ResumMethod.PADE21: pade21,
+}
+
+_DENOMINATORS = {
+    ResumMethod.PADE11: lambda p: p.tau2 - p.tau4,
+    ResumMethod.PADE21: lambda p: p.tau4 - p.tau6,
+}
 
 
-def _denominator(method: ResumMethod) -> Callable[[TauPoint], float] | None:
-    if method is ResumMethod.PADE11:
-        return lambda p: p.tau2 - p.tau4
-    if method is ResumMethod.PADE21:
-        return lambda p: p.tau4 - p.tau6
-    return None
+def tau_table(model: DensityModel, grid: RadialGrid) -> TauPoint:
+    """tau0..tau6 on every positive grid node, from one batched density
+    evaluation.
+
+    This (4, n) table is what every method's finiteness check and pole
+    scan reads; quadrature and bisection evaluate the same functions
+    one radius at a time.
+    """
+
+    nodes = grid.positive_nodes
+    return tau_point(model.eval(nodes), nodes)
+
+
+def method_poles(model: DensityModel, method: ResumMethod, grid: RadialGrid,
+                 table: TauPoint | None = None) -> list[float]:
+    """Poles of a method's integrand on the grid.
+
+    For a Pade method these are the sign changes of its denominator,
+    scanned on the tau table and bisected one radius at a time; partial
+    sums have none.
+    """
+
+    denominator = _DENOMINATORS.get(method)
+    if denominator is None:
+        return []
+    if table is None:
+        table = tau_table(model, grid)
+    return find_poles(lambda r: denominator(tau_point(model.eval(r), r)),
+                      grid, denominator(table))
 
 
 def integrate_method(model: DensityModel, method: ResumMethod,
-                     grid: RadialGrid,
-                     t_ref: float | None = None) -> KineticReport:
+                     grid: RadialGrid, t_ref: float | None = None,
+                     table: TauPoint | None = None) -> KineticReport:
     """Total kinetic energy of one method over one density.
 
-    Partial sums integrate directly.  Pade methods first scan the grid
-    for sign changes of their denominator; any poles found switch the
-    integral over to the principal-value route and are recorded in the
-    report.
+    ``table`` is the density's ``tau_table`` on this grid, built here
+    when not given.  Pade methods first scan it for sign changes of
+    their denominator; any poles found switch the integral over to the
+    principal-value route and are recorded in the report.
     """
 
-    evaluate = _evaluator(method)
+    evaluate = _EVALUATORS[method]
+    if table is None:
+        table = tau_table(model, grid)
 
-    def integrand(r: float) -> float:
+    def integrand(r):
         return evaluate(tau_point(model.eval(r), r))
 
-    denom = _denominator(method)
-    if denom is None:
-        value = integrate_radial(integrand, grid)
-        return KineticReport(method=method, T=value, t_ref=t_ref)
-
-    def denominator(r: float) -> float:
-        return denom(tau_point(model.eval(r), r))
-
-    poles = find_poles(denominator, grid)
-    value = principal_value_integrate(integrand, poles, grid)
+    poles = method_poles(model, method, grid, table)
+    if poles:
+        value = principal_value_integrate(integrand, poles, grid)
+    else:
+        value = integrate_radial(integrand, grid, evaluate(table))
     return KineticReport(method=method, T=value, t_ref=t_ref,
                          poles=tuple(poles))
 
 
 def run_methods(model: DensityModel, methods, grid: RadialGrid,
                 t_ref: float) -> list[KineticReport]:
-    """Convenience: integrate several methods against one reference."""
-    return [integrate_method(model, m, grid, t_ref=t_ref) for m in methods]
+    """Integrate several methods against one reference and one table."""
+    table = tau_table(model, grid)
+    return [integrate_method(model, m, grid, t_ref=t_ref, table=table)
+            for m in methods]
+
+
+def error_columns(model: DensityModel, t_ref: float,
+                  methods=ALL_METHODS) -> list[str]:
+    """The error cells of an accuracy-table row.
+
+    Each method's percent error against ``t_ref``, integrated on the
+    density's tail-rule grid and printed to two decimals, as the CLI
+    rows and the table script show them.
+    """
+
+    grid = grid_for_density(model)
+    return [f"{rep.percent_error:+.2f}"
+            for rep in run_methods(model, methods, grid, t_ref)]
 
 
 def pade11_tail_exponent(model: DensityModel, grid: RadialGrid,
@@ -237,22 +282,17 @@ def pade11_tail_exponent(model: DensityModel, grid: RadialGrid,
     """
 
     lo, hi = rho_window
-    radii, corr = [], []
-    for r in grid.nodes:
-        if r <= 0.0:
-            continue
-        d = model.eval(r)
-        if not (lo <= d.rho <= hi):
-            continue
-        p = tau_point(d, r)
-        den = p.tau2 - p.tau4
-        if den == 0.0:
-            continue
-        c = p.tau2 * p.tau2 / den
-        if c != 0.0 and math.isfinite(c):
-            radii.append(d.rho)
-            corr.append(abs(c))
-    if len(radii) < 4:
+    nodes = grid.positive_nodes
+    rho = model.rho(nodes)
+    radii = nodes[(lo <= rho) & (rho <= hi)]
+    d = model.eval(radii)
+    p = tau_point(d, radii)
+    den = p.tau2 - p.tau4
+    with np.errstate(divide="ignore", invalid="ignore"):
+        corr = p.tau2 * p.tau2 / den
+    usable = (den != 0.0) & (corr != 0.0) & np.isfinite(corr)
+    if np.count_nonzero(usable) < 4:
         raise ValueError("tail window contains too few usable nodes")
-    slope = np.polyfit(np.log(radii), np.log(corr), 1)[0]
+    slope = np.polyfit(np.log(d.rho[usable]), np.log(np.abs(corr[usable])),
+                       1)[0]
     return float(slope)

@@ -163,7 +163,7 @@ def test_solver_failure_exits_4(runner, monkeypatch):
     def explode(params, **kwargs):
         raise SolverError("synthetic breakdown")
 
-    monkeypatch.setattr("kedsum.cli.solve_general", explode)
+    monkeypatch.setattr("kedsum.hooke.solve_general", explode)
     result = runner.invoke(main, ["hooke", "--omega", "0.3"])
     assert result.exit_code == 4
     assert "solver failed" in result.output
@@ -249,3 +249,39 @@ def test_dump_uniform_table_derivative_terms_vanish(runner, tmp_path):
         assert tau0 > 0.0
         for cell in (row[3], row[4], row[5]):
             assert abs(float(cell)) < 1e-10 * tau0
+
+
+def test_dump_rmax_beyond_support_is_a_usage_error(runner, tmp_path):
+    # The reconstructed omega = 1/4 density underflows to zero past its
+    # support radius (about 42 bohr), where tau4 has no value.
+    result = runner.invoke(main, ["dump", "--omega", "0.25", "--rmax", "200",
+                                  "--points", "50",
+                                  "--csv", str(tmp_path / "out.csv")])
+    assert result.exit_code == 2, result.output
+    assert "support radius" in result.output
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_dump_numerical_failure_exits_4(runner, tmp_path, monkeypatch):
+    def broken_scan(*args, **kwargs):
+        raise ValueError("denominator is not finite at r=1.5")
+
+    monkeypatch.setattr("kedsum.cli.method_poles", broken_scan)
+    result = runner.invoke(main, ["dump", "--basis", "he",
+                                  "--csv", str(tmp_path / "he.csv")])
+    assert result.exit_code == 4, result.output
+    assert "denominator is not finite at r=1.5" in result.output
+
+
+def test_dump_flags_every_pole_that_integration_reports(runner, tmp_path,
+                                                        atom_bundle):
+    target = tmp_path / "he.csv"
+    result = runner.invoke(main, ["dump", "--basis", "he",
+                                  "--csv", str(target)])
+    assert result.exit_code == 0, result.output
+    _, rows = _read_dump(target)
+    flagged = [float(row[0]) for row in rows if "pade21-pole" in row[-1]]
+    poles = atom_bundle("he").reports[ResumMethod.PADE21].poles
+    assert poles
+    for pole in poles:
+        assert any(abs(r - pole) < 0.05 * pole for r in flagged), pole

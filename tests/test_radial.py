@@ -60,7 +60,7 @@ def test_tail_rule_bounds_thomas_fermi_weight(factory):
 def test_unit_gaussian_integrates_to_one():
     norm = math.pi ** -1.5
     grid = RadialGrid.power_spaced(1e-6, 12.0, 400)
-    value = integrate_radial(lambda r: norm * math.exp(-r * r), grid)
+    value = integrate_radial(lambda r: norm * np.exp(-r * r), grid)
     assert value == pytest.approx(1.0, rel=1e-10)
 
 
@@ -74,7 +74,7 @@ def test_unit_ball_volume():
 @pytest.mark.parametrize("n", range(7))
 def test_quadrature_exact_on_polynomial_exponentials(n, alpha):
     grid = RadialGrid.power_spaced(1e-6, 60.0 / alpha, 300)
-    value = integrate_radial(lambda r: r ** n * math.exp(-alpha * r), grid)
+    value = integrate_radial(lambda r: r ** n * np.exp(-alpha * r), grid)
     exact = FOUR_PI * math.factorial(n + 2) / alpha ** (n + 3)
     assert value == pytest.approx(exact, rel=1e-10)
 
@@ -83,8 +83,8 @@ def test_quadrature_exact_on_polynomial_exponentials(n, alpha):
 @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
 def test_integrate_radial_is_linear(a, b):
     grid = RadialGrid.power_spaced(1e-6, 14.0, 120)
-    f = lambda r: math.exp(-r * r)
-    g = lambda r: math.exp(-2.0 * r)
+    f = lambda r: np.exp(-r * r)
+    g = lambda r: np.exp(-2.0 * r)
     combined = integrate_radial(lambda r: a * f(r) + b * g(r), grid)
     split = a * integrate_radial(f, grid) + b * integrate_radial(g, grid)
     assert combined == pytest.approx(split, rel=1e-9, abs=1e-12)
@@ -113,7 +113,7 @@ def test_find_poles_two_roots():
 def test_find_poles_rejects_non_finite_denominator():
     grid = RadialGrid.power_spaced(1e-4, 2.0, 50)
     with pytest.raises(ValueError):
-        find_poles(lambda r: math.inf if r > 1.0 else 1.0, grid)
+        find_poles(lambda r: np.where(r > 1.0, math.inf, 1.0), grid)
 
 
 # ---------------------------------------------------------------------------
