@@ -7,75 +7,4 @@ handling across resummation poles.  Reference systems (harmonically
 trapped electron pairs and Roothaan-Hartree-Fock atoms) are built in.
 """
 
-from .atoms import (BasisError, BasisSchemaError, ElectronCountError,
-                    OrbitalNormalizationError, RHFOrbital, STOBasisSet,
-                    STOPrimitive, bundled_basis, density_derivs,
-                    density_model, hf_kinetic, hf_kinetic_quadrature,
-                    list_bundled, nuclear_cusp_ratio, parse_sto)
-from .hooke import (HookeParams, HookeSolution, SolverError,
-                    analytic_density_omega_half, density_omega_half,
-                    kinetic_exact, singlet_ks_kinetic, solve_general)
-from .kedf import C_TF, Contractions, TauPoint, contractions, tau_point
-from .radial import (DensityDerivatives, DensityModel, PrincipalValueError,
-                     QuadratureError, RadialGrid, find_poles,
-                     grid_for_density, integrate_radial,
-                     load_density_table, principal_value_integrate,
-                     tabulated_derivatives)
-from .resum import (ALL_METHODS, KineticReport, PadePole, ResumMethod,
-                    integrate_method, pade11, pade21, pade21_of_x,
-                    partial_sum, percent_error, run_methods)
-
-__all__ = [
-    "ALL_METHODS",
-    "BasisError",
-    "BasisSchemaError",
-    "C_TF",
-    "Contractions",
-    "DensityDerivatives",
-    "DensityModel",
-    "ElectronCountError",
-    "HookeParams",
-    "HookeSolution",
-    "KineticReport",
-    "OrbitalNormalizationError",
-    "PadePole",
-    "PrincipalValueError",
-    "QuadratureError",
-    "RHFOrbital",
-    "RadialGrid",
-    "ResumMethod",
-    "STOBasisSet",
-    "STOPrimitive",
-    "SolverError",
-    "TauPoint",
-    "analytic_density_omega_half",
-    "bundled_basis",
-    "contractions",
-    "density_derivs",
-    "density_model",
-    "density_omega_half",
-    "find_poles",
-    "grid_for_density",
-    "hf_kinetic",
-    "hf_kinetic_quadrature",
-    "integrate_method",
-    "integrate_radial",
-    "kinetic_exact",
-    "list_bundled",
-    "load_density_table",
-    "nuclear_cusp_ratio",
-    "pade11",
-    "pade21",
-    "pade21_of_x",
-    "parse_sto",
-    "partial_sum",
-    "percent_error",
-    "principal_value_integrate",
-    "run_methods",
-    "singlet_ks_kinetic",
-    "solve_general",
-    "tabulated_derivatives",
-    "tau_point",
-]
-
 __version__ = "0.1.0"

@@ -125,29 +125,25 @@ class RHFOrbital:
                 raise BasisSchemaError(
                     f"primitive n={p.n} below l+1={self.l + 1}")
 
-    def norm_squared(self) -> float:
-        c = self.coeffs
-        prims = self.primitives
-        total = 0.0
-        for a, ca in zip(prims, c):
-            for b, cb in zip(prims, c):
-                total += ca * cb * primitive_overlap(a, b)
-        return total
-
-    def overlap(self, other: "RHFOrbital") -> float:
+    def _pair_sum(self, other: "RHFOrbital", term) -> float:
+        """sum_ab c_a c'_b term(a, b) over this orbital's and other's
+        primitives."""
         total = 0.0
         for a, ca in zip(self.primitives, self.coeffs):
             for b, cb in zip(other.primitives, other.coeffs):
-                total += ca * cb * primitive_overlap(a, b)
+                total += ca * cb * term(a, b)
         return total
+
+    def norm_squared(self) -> float:
+        return self.overlap(self)
+
+    def overlap(self, other: "RHFOrbital") -> float:
+        return self._pair_sum(other, primitive_overlap)
 
     def kinetic(self) -> float:
         """<R| -1/2 lap_l |R> for a single electron in this orbital."""
-        total = 0.0
-        for a, ca in zip(self.primitives, self.coeffs):
-            for b, cb in zip(self.primitives, self.coeffs):
-                total += ca * cb * _primitive_kinetic(a, b, self.l)
-        return total
+        return self._pair_sum(
+            self, lambda a, b: _primitive_kinetic(a, b, self.l))
 
 
 @dataclass(frozen=True)
@@ -336,7 +332,6 @@ def density_model(basis: STOBasisSet) -> DensityModel:
     return DensityModel(
         profile=lambda r: _density_jet(basis, r),
         electron_count=basis.electron_count,
-        kind="analytic",
         label=f"rhf({basis.element})",
     )
 

@@ -25,11 +25,13 @@ from .kedf import tau_point
 from .radial import PV_WINDOW_FRACTION, DensityModel, PrincipalValueError, \
     QuadratureError, grid_for_density, load_density_table, \
     tabulated_derivatives
-from .resum import ALL_METHODS, PadePole, ResumMethod, error_columns, \
-    method_poles, pade11, pade21, partial_sum, tau_table
+from .resum import ALL_METHODS, EVALUATORS, PadePole, ResumMethod, \
+    error_columns, method_poles, tau_table
 
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
+# What a numerical failure in a row raises; the CLI exits 4 on each.
+NUMERICAL_ERRORS = (QuadratureError, PrincipalValueError, PadePole)
 
 
 def _fail(code: int, message: str):
@@ -91,7 +93,7 @@ def hooke(omega, non_interacting, methods, csv_path):
         errors = error_columns(model, t_ref, method_list)
     except SolverError as exc:
         _fail(EXIT_NUMERICAL, f"solver failed: {exc}")
-    except (QuadratureError, PrincipalValueError, PadePole) as exc:
+    except NUMERICAL_ERRORS as exc:
         _fail(EXIT_NUMERICAL, str(exc))
     headers = ["omega", "T_s"] + [f"err%[{m.label}]" for m in method_list]
     row = [f"{omega:g}", f"{t_ref:.6g}"] + errors
@@ -127,7 +129,7 @@ def atom(basis, methods, csv_path):
         model = density_model(basis_set)
         t_ref = hf_kinetic(basis_set)
         errors = error_columns(model, t_ref, method_list)
-    except (QuadratureError, PrincipalValueError, PadePole) as exc:
+    except NUMERICAL_ERRORS as exc:
         _fail(EXIT_NUMERICAL, str(exc))
     headers = (["element", "T_HF"]
                + [f"err%[{m.label}]" for m in method_list])
@@ -198,18 +200,17 @@ def dump(omega, basis, table, rmax, points, csv_path):
         grid = grid_for_density(model)
         table = tau_table(model, grid)
         near_pole = {}
-        for method in (ResumMethod.PADE11, ResumMethod.PADE21):
+        for method in ALL_METHODS:
             near = np.zeros(radii.shape, dtype=bool)
             for pole in method_poles(model, method, grid, table):
                 near |= np.abs(radii - pole) < PV_WINDOW_FRACTION * pole
             near_pole[f"{method.value}-pole"] = near
         d = model.eval(radii)
         p = tau_point(d, radii)
-        columns = np.array([radii, d.rho, p.tau0, p.tau2, p.tau4, p.tau6,
-                            partial_sum(p, 2), partial_sum(p, 4),
-                            pade11(p), pade21(p)])
-    except (QuadratureError, PrincipalValueError, PadePole,
-            ValueError) as exc:
+        # sum2, sum4, pade11, pade21: every method after T0 (= tau0).
+        columns = np.array([radii, d.rho, p.tau0, p.tau2, p.tau4, p.tau6]
+                           + [EVALUATORS[m](p) for m in ALL_METHODS[1:]])
+    except (*NUMERICAL_ERRORS, ValueError) as exc:
         _fail(EXIT_NUMERICAL, str(exc))
 
     rows = [[f"{c:.12g}" for c in cells]

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.integrate import simpson
@@ -63,18 +64,6 @@ class HookeSolution:
     eps_cm: float
     eps_rel: float
     kinetic_expectation: float  # <T> of the correlated wavefunction
-
-
-def kinetic_exact(sol: HookeSolution) -> float:
-    """Reference kinetic energy used in the accuracy tables.
-
-    This is the non-interacting (KS) kinetic energy of the solution's
-    density, not the wavefunction expectation; for two-electron singlet
-    ground states the two differ by the (positive) correlation kinetic
-    energy whenever the Coulomb term is on.
-    """
-
-    return sol.T_exact
 
 
 def singlet_ks_kinetic(model: DensityModel, grid: RadialGrid) -> float:
@@ -165,14 +154,9 @@ def _display_profile(r) -> np.ndarray:
                                        _bracket_jet(r))
 
 
-_ANALYTIC_CACHE: dict[str, DensityModel] = {}
-
-
+@cache
 def analytic_density_omega_half() -> DensityModel:
     """The exact omega = 1/2 density, rescaled onto the N = 2 sum rule."""
-    cached = _ANALYTIC_CACHE.get("model")
-    if cached is not None:
-        return cached
     raw = DensityModel(profile=_display_profile, electron_count=2.0,
                        label="hooke(omega=0.5, analytic)")
     grid = grid_for_density(raw)
@@ -182,17 +166,8 @@ def analytic_density_omega_half() -> DensityModel:
     def profile(r) -> np.ndarray:
         return scale * _display_profile(r)
 
-    model = DensityModel(profile=profile, electron_count=2.0,
-                         label="hooke(omega=0.5, analytic)")
-    _ANALYTIC_CACHE["model"] = model
-    return model
-
-
-def density_omega_half(r: float):
-    """Density derivatives of the exact omega = 1/2 ground state."""
-    if r < 0.0:
-        raise ValueError(f"radius must be non-negative, got {r}")
-    return analytic_density_omega_half().eval(r)
+    return DensityModel(profile=profile, electron_count=2.0,
+                        label="hooke(omega=0.5, analytic)")
 
 
 # ---------------------------------------------------------------------------

@@ -61,27 +61,13 @@ def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (terms[_FIRST] + terms[_SECOND]) + terms[_THIRD]
 
 
-def constant(c: float, r=None) -> np.ndarray:
-    shape = (ORDERS,) if r is None else (ORDERS,) + np.shape(r)
-    out = np.zeros(shape)
-    out[0] = c
-    return out
-
-
-def variable(r) -> np.ndarray:
-    out = np.zeros((ORDERS,) + np.shape(r))
-    out[0] = r
-    out[1] = 1.0
-    return out
-
-
 def power(r, m: int) -> np.ndarray:
     """r**m with integer m, negative allowed (r must stay positive)."""
     r = np.asarray(r, dtype=float)
     out = np.empty((ORDERS,) + r.shape)
     coeff = 1.0
     for k in range(ORDERS):
-        if m - k + 1 < 1 and m >= 0 and k > m:
+        if 0 <= m < k:
             # Derivative order exceeded a nonnegative integer power.
             out[k] = 0.0
             continue

@@ -63,6 +63,5 @@ def scale_density(model: DensityModel, factor: float) -> DensityModel:
 
     return DensityModel(profile=profile,
                         electron_count=factor * model.electron_count,
-                        kind=model.kind,
                         label=f"{model.label} x {factor:g}",
                         r_support=model.r_support)

@@ -9,8 +9,8 @@ the only geometry is the radial half-line.  This module owns:
 * ``integrate_radial`` -- adaptive quadrature of ``4 pi r^2 f(r)``,
 * ``find_poles`` / ``principal_value_integrate`` -- Cauchy principal
   values across simple poles of resummed integrands,
-* ``tabulated_derivatives`` -- smoothing-spline densities built from
-  ``(r, rho)`` samples, differentiated through ``log rho``.
+* ``tabulated_derivatives`` -- densities interpolated through
+  ``(r, rho)`` samples by a quintic spline in ``log rho``.
 
 Quadrature is delegated to QUADPACK (``scipy.integrate.quad``, adaptive
 Gauss-Kronrod); splines to FITPACK.  Both sit behind the interfaces
@@ -20,14 +20,12 @@ above so callers never touch scipy directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import UnivariateSpline
-
-from . import jets
 
 FOUR_PI = 4.0 * math.pi
 
@@ -88,13 +86,6 @@ class DensityDerivatives:
         jet = np.asarray(jet, dtype=float)
         return cls(*(jet.tolist() if jet.ndim == 1 else jet))
 
-    def as_jet(self) -> np.ndarray:
-        return np.array([self.rho, self.d1, self.d2, self.d3, self.d4])
-
-    def scaled(self, g: float) -> "DensityDerivatives":
-        return DensityDerivatives(g * self.rho, g * self.d1, g * self.d2,
-                                  g * self.d3, g * self.d4)
-
 
 @dataclass(frozen=True)
 class DensityModel:
@@ -111,7 +102,6 @@ class DensityModel:
 
     profile: Callable[[float | np.ndarray], np.ndarray]
     electron_count: float
-    kind: str = "analytic"
     label: str = ""
     r_support: float | None = None
 
@@ -169,13 +159,11 @@ class RadialGrid:
         return cls(r_min + (r_max - r_min) * t ** exponent)
 
 
-def grid_for_density(model: DensityModel, n: int = 1600,
-                     exponent: float = 2.5,
-                     tail_tolerance: float = TAIL_TOLERANCE) -> RadialGrid:
-    """Pick a cutoff by the tail rule and lay power-spaced nodes.
+def grid_for_density(model: DensityModel) -> RadialGrid:
+    """Pick a cutoff by the tail rule and lay 1600 power-spaced nodes.
 
     r_max is grown geometrically until the integrand weight
-    4 pi r^2 (tau0 + tau2 + |tau4|) falls below ``tail_tolerance``
+    4 pi r^2 (tau0 + tau2 + |tau4|) falls below ``TAIL_TOLERANCE``
     (capped at the model's support when finite).  The fourth-order term
     has the slowest-decaying tail of any integrand this package sums,
     so everything beyond the cutoff is negligible against the table
@@ -197,7 +185,7 @@ def grid_for_density(model: DensityModel, n: int = 1600,
         weight = tau0(d.rho) + tau2(d.rho, c.g2) + abs(tau4(c, d.rho))
         return FOUR_PI * radius * radius * weight
 
-    while tail_weight(r) > tail_tolerance:
+    while tail_weight(r) > TAIL_TOLERANCE:
         r *= 1.25
         if cap is not None and r >= cap:
             r = cap
@@ -205,8 +193,7 @@ def grid_for_density(model: DensityModel, n: int = 1600,
         if r > 1e4:
             raise ValueError("tail rule did not terminate; density does "
                              "not decay")
-    r_min = r * 1e-5
-    return RadialGrid.power_spaced(r_min, r, n, exponent)
+    return RadialGrid.power_spaced(r * 1e-5, r, 1600)
 
 
 def _weighted(f: Callable, r):
@@ -418,25 +405,32 @@ def load_density_table(path) -> tuple[np.ndarray, np.ndarray]:
     Two formats are accepted: a plain two-column ``r rho`` file ('#'
     starts a comment), or a CSV with a header row naming ``r`` and
     ``rho`` columns, which is what the dump command writes, so its
-    output can be fed straight back in.
+    output can be fed straight back in.  The first line that is not a
+    comment is a header when one of its fields is not a number.
     """
 
     with open(path, "r", encoding="utf-8") as fh:
         first = ""
-        for line in fh:
+        for header_end, line in enumerate(fh, start=1):
             line = line.strip()
             if line and not line.startswith("#"):
                 first = line
                 break
-    if any(ch.isalpha() for ch in first):
+    try:
+        np.array(first.replace(",", " ").split(), dtype=float)
+        header = False
+    except ValueError:
+        header = True
+    if header:
         names = [c.strip() for c in first.split(",")]
         if "r" not in names or "rho" not in names:
             raise ValueError(
                 f"{path}: header row lacks 'r' and 'rho' columns: {first!r}")
         try:
+            # skiprows counts comment lines too: skip through the header.
             data = np.loadtxt(path, comments="#", delimiter=",",
-                              skiprows=1, usecols=(names.index("r"),
-                                                   names.index("rho")),
+                              skiprows=header_end,
+                              usecols=(names.index("r"), names.index("rho")),
                               ndmin=2)
         except ValueError as exc:
             raise ValueError(f"{path}: could not parse density CSV: {exc}")
@@ -452,13 +446,14 @@ def load_density_table(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def tabulated_derivatives(r: np.ndarray, rho: np.ndarray,
-                          smoothing: float = 0.0,
                           label: str = "tabulated") -> DensityModel:
     """Density model from samples, differentiated through ``log rho``.
 
-    A degree-5 smoothing spline is fitted to log(rho); rho and its four
-    derivatives follow from the chain rule.  Working in log space keeps
-    the model positive and tames the dynamic range of atomic tails.
+    A degree-5 spline interpolates log(rho) through every sample (no
+    smoothing, so noise in the samples reaches the derivatives); rho and
+    its four derivatives follow from the chain rule.  Working in log
+    space keeps the model positive and tames the dynamic range of
+    atomic tails.
     """
 
     r = np.asarray(r, dtype=float)
@@ -480,7 +475,7 @@ def tabulated_derivatives(r: np.ndarray, rho: np.ndarray,
             f"zero density sample at r={bad:.8g}; log-space fit needs "
             "strictly positive samples")
 
-    spline = UnivariateSpline(r, np.log(rho), k=5, s=smoothing)
+    spline = UnivariateSpline(r, np.log(rho), k=5, s=0.0)
     dsplines = [spline.derivative(k) for k in range(1, 5)]
 
     def profile(radius) -> np.ndarray:
@@ -499,10 +494,7 @@ def tabulated_derivatives(r: np.ndarray, rho: np.ndarray,
         ])
 
     model = DensityModel(profile=profile, electron_count=math.nan,
-                         kind="tabulated", label=label,
-                         r_support=float(r[-1]))
+                         label=label, r_support=float(r[-1]))
     count = integrate_radial(model.rho, RadialGrid(r if r[0] > 0.0
                                                    else r[1:]))
-    return DensityModel(profile=profile, electron_count=count,
-                        kind="tabulated", label=label,
-                        r_support=float(r[-1]))
+    return replace(model, electron_count=count)

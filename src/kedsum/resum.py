@@ -18,7 +18,7 @@ is then taken as a Cauchy principal value (see ``radial``).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,10 +48,6 @@ class ResumMethod(enum.Enum):
     @property
     def label(self) -> str:
         return _LABELS[self]
-
-    @property
-    def is_pade(self) -> bool:
-        return self in (ResumMethod.PADE11, ResumMethod.PADE21)
 
     @classmethod
     def parse(cls, token: str) -> "ResumMethod":
@@ -83,8 +79,7 @@ _LABELS = {
     ResumMethod.PADE21: "T[2/1]",
 }
 
-ALL_METHODS = (ResumMethod.T0, ResumMethod.T02, ResumMethod.T024,
-               ResumMethod.PADE11, ResumMethod.PADE21)
+ALL_METHODS = tuple(ResumMethod)
 
 
 @dataclass(frozen=True)
@@ -101,9 +96,6 @@ class KineticReport:
         if self.t_ref is None:
             raise ValueError("report has no reference energy")
         return percent_error(self.T, self.t_ref)
-
-    def with_reference(self, t_ref: float) -> "KineticReport":
-        return replace(self, t_ref=t_ref)
 
 
 def percent_error(t: float, t_ref: float) -> float:
@@ -175,7 +167,9 @@ def pade21_of_x(p: TauPoint, x: float):
                      f"[2/1](x={x!r}) pole: tau4 == tau6 x ==")
 
 
-_EVALUATORS = {
+# Each method's kinetic energy density, from the tau terms at one radius
+# or at a batch of radii.
+EVALUATORS = {
     ResumMethod.T0: lambda p: partial_sum(p, 0),
     ResumMethod.T02: lambda p: partial_sum(p, 2),
     ResumMethod.T024: lambda p: partial_sum(p, 4),
@@ -231,7 +225,7 @@ def integrate_method(model: DensityModel, method: ResumMethod,
     principal-value route and are recorded in the report.
     """
 
-    evaluate = _EVALUATORS[method]
+    evaluate = EVALUATORS[method]
     if table is None:
         table = tau_table(model, grid)
 
@@ -267,32 +261,3 @@ def error_columns(model: DensityModel, t_ref: float,
     grid = grid_for_density(model)
     return [f"{rep.percent_error:+.2f}"
             for rep in run_methods(model, methods, grid, t_ref)]
-
-
-def pade11_tail_exponent(model: DensityModel, grid: RadialGrid,
-                         rho_window: tuple[float, float] = (1e-11, 1e-5),
-                         ) -> float:
-    """Diagnostic: log-log slope of the [1/1] correction against rho.
-
-    The correction tau2^2/(tau2 - tau4) should fade like a positive
-    power of rho (dimensional counting suggests roughly rho^(7/3) once
-    tau4 dominates), so the integral gains no spurious tail weight.
-    Returns the fitted slope over the tail window; purely informative,
-    nothing asserts a particular value.
-    """
-
-    lo, hi = rho_window
-    nodes = grid.positive_nodes
-    rho = model.rho(nodes)
-    radii = nodes[(lo <= rho) & (rho <= hi)]
-    d = model.eval(radii)
-    p = tau_point(d, radii)
-    den = p.tau2 - p.tau4
-    with np.errstate(divide="ignore", invalid="ignore"):
-        corr = p.tau2 * p.tau2 / den
-    usable = (den != 0.0) & (corr != 0.0) & np.isfinite(corr)
-    if np.count_nonzero(usable) < 4:
-        raise ValueError("tail window contains too few usable nodes")
-    slope = np.polyfit(np.log(d.rho[usable]), np.log(np.abs(corr[usable])),
-                       1)[0]
-    return float(slope)

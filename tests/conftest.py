@@ -65,7 +65,7 @@ def hooke_bundle(hooke_solution):
     def get(omega: float) -> SimpleNamespace:
         if omega not in cache:
             sol = hooke_solution(omega)
-            bundle = _bundle(sol.density, hooke.kinetic_exact(sol))
+            bundle = _bundle(sol.density, sol.T_exact)
             bundle.solution = sol
             cache[omega] = bundle
         return cache[omega]

@@ -8,6 +8,8 @@ comparisons against published numbers live in the acceptance suite.
 import csv
 import json
 import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +104,21 @@ def test_atom_row_helium(runner):
     expected = (-10.5, 0.59, 3.57, 2.01, 0.53)
     for field, want in zip(fields[2:], expected):
         assert float(field) == pytest.approx(want, abs=0.2)
+
+
+def test_readme_rows_are_verbatim(runner):
+    # Every "$ kedsum ..." block of the README is the command's output.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    blocks = [block.split("```", 1)[0]
+              for block in readme.split("```text\n")[1:]]
+    commands = [b for b in blocks if b.startswith("$ kedsum ")]
+    assert len(commands) == 2
+    for block in commands:
+        command, expected = block.split("\n", 1)
+        result = runner.invoke(main, shlex.split(command)[2:])
+        assert result.exit_code == 0, result.output
+        assert result.output == expected
 
 
 def test_version_flag(runner):
@@ -223,12 +240,39 @@ def test_dump_roundtrip_reproduces_t0(omega_half_dump, analytic_half):
     assert recovered == pytest.approx(reference, rel=1e-4)
 
 
+def test_dump_reingests_with_comment_above_header(runner, omega_half_dump,
+                                                 tmp_path):
+    table = tmp_path / "annotated.csv"
+    table.write_text("# omega = 1/2 pair\n"
+                     + omega_half_dump.read_text(encoding="utf-8"),
+                     encoding="utf-8")
+    target = tmp_path / "again.csv"
+    result = runner.invoke(main, ["dump", "--table", str(table),
+                                  "--csv", str(target)])
+    assert result.exit_code == 0, result.output
+    _, rows = _read_dump(target)
+    _, original = _read_dump(omega_half_dump)
+    assert [row[:2] for row in rows] == [row[:2] for row in original]
+
+
 def test_dump_hooke_has_ordered_magnitude_window(omega_half_dump):
     _, rows = _read_dump(omega_half_dump)
     ordered = [row for row in rows
                if abs(float(row[5])) < abs(float(row[4]))
                < abs(float(row[3])) < abs(float(row[2]))]
     assert ordered, "no radius with |tau6|<|tau4|<|tau2|<|tau0|"
+
+
+def test_dump_reads_scientific_notation_table(runner, tmp_path):
+    table = tmp_path / "he.dat"
+    r = np.geomspace(1e-4, 20.0, 200)
+    np.savetxt(table, np.c_[r, np.exp(-2.0 * r)])
+    target = tmp_path / "out.csv"
+    result = runner.invoke(main, ["dump", "--table", str(table),
+                                  "--csv", str(target)])
+    assert result.exit_code == 0, result.output
+    _, rows = _read_dump(target)
+    assert [float(row[0]) for row in rows] == pytest.approx(r, rel=1e-11)
 
 
 def test_dump_uniform_table_derivative_terms_vanish(runner, tmp_path):

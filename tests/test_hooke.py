@@ -56,11 +56,6 @@ def test_analytic_density_gaussian_tail_with_quadratic_prefactor(
     assert abs(values[3] - values[2]) < abs(values[1] - values[0]) / 3.0
 
 
-def test_density_omega_half_rejects_negative_radius():
-    with pytest.raises(ValueError):
-        hooke.density_omega_half(-0.1)
-
-
 def test_analytic_density_monotone_beyond_maximum(analytic_half):
     radii = np.linspace(0.0, analytic_half.grid.r_max, 400)
     rho = np.array([analytic_half.model.rho(float(r)) for r in radii])
@@ -109,7 +104,7 @@ def test_solver_energy_bookkeeping(hooke_solution):
 def test_kinetic_exact_reference_values(hooke_solution, omega, expected,
                                         tol):
     sol = hooke_solution(omega)
-    assert hooke.kinetic_exact(sol) == pytest.approx(expected, abs=tol)
+    assert sol.T_exact == pytest.approx(expected, abs=tol)
 
 
 def test_non_interacting_solution_is_oscillator_ground_state(
@@ -122,7 +117,7 @@ def test_non_interacting_solution_is_oscillator_ground_state(
 
 def test_non_interacting_omega_half_kinetic(hooke_solution):
     sol = hooke_solution(0.5, interacting=False)
-    assert hooke.kinetic_exact(sol) == pytest.approx(0.75, abs=1e-9)
+    assert sol.T_exact == pytest.approx(0.75, abs=1e-9)
 
 
 def test_solution_density_normalization(hooke_solution):

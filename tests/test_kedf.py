@@ -128,7 +128,7 @@ def test_tau4_tau6_amplitude_scaling_factor_two():
     model = ORACLE_MODELS["gaussian"]
     r = 0.9
     d = model.eval(r)
-    scaled = d.scaled(8.0)
+    scaled = profiles.scale_density(model, 8.0).eval(r)
     c, cs = kedf.contractions(d, r), kedf.contractions(scaled, r)
     assert kedf.tau4(cs, scaled.rho) == pytest.approx(
         2.0 * kedf.tau4(c, d.rho), rel=1e-14)
@@ -215,9 +215,9 @@ def test_integrated_tau4_of_oscillator_gaussians(omega, expected):
        st.floats(math.log(0.01), math.log(100.0)))
 def test_pointwise_scaling_property(name, r, log_g):
     g = math.exp(log_g)
-    d = ORACLE_MODELS[name].eval(r)
-    base = kedf.tau_point(d, r)
-    scaled = kedf.tau_point(d.scaled(g), r)
+    model = ORACLE_MODELS[name]
+    base = kedf.tau_point(model.eval(r), r)
+    scaled = kedf.tau_point(profiles.scale_density(model, g).eval(r), r)
     for field, power in (("tau0", 5.0 / 3.0), ("tau2", 1.0),
                          ("tau4", 1.0 / 3.0), ("tau6", -1.0 / 3.0)):
         want = g ** power * getattr(base, field)

@@ -263,6 +263,12 @@ def test_load_density_table_two_column(tmp_path):
     r, rho = load_density_table(path)
     assert r.tolist() == [0.1, 0.2, 0.3]
     assert rho.tolist() == [1.0, 0.9, 0.7]
+    # np.savetxt writes scientific notation, whose 'e' is no header.
+    sci = tmp_path / "sci.dat"
+    np.savetxt(sci, np.c_[[1e-4, 0.5], [3.59, 2.0]])
+    r, rho = load_density_table(sci)
+    assert r.tolist() == [1e-4, 0.5]
+    assert rho.tolist() == [3.59, 2.0]
 
 
 def test_load_density_table_csv_header(tmp_path):
@@ -271,6 +277,11 @@ def test_load_density_table_csv_header(tmp_path):
     r, rho = load_density_table(path)
     assert r.tolist() == [0.1, 0.2]
     assert rho.tolist() == [1.0, 0.9]
+    commented = tmp_path / "commented.csv"
+    commented.write_text("# made by hand\nr,rho\n0.1,2.0\n0.2,1.5\n")
+    r, rho = load_density_table(commented)
+    assert r.tolist() == [0.1, 0.2]
+    assert rho.tolist() == [2.0, 1.5]
 
 
 def test_load_density_table_bad_inputs(tmp_path):
