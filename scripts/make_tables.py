@@ -11,8 +11,8 @@ number is computed through the library API in this process; nothing is
 hard-coded, so the files double as a regression snapshot.
 """
 
+import argparse
 import csv
-import sys
 import time
 from pathlib import Path
 
@@ -60,7 +60,11 @@ def write_table(path, first_header, rows):
 
 
 def main():
-    out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(".")
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out_dir", nargs="?", type=Path, default=Path("."),
+                        help="directory for the two CSV files "
+                             "(default: current directory)")
+    out_dir = parser.parse_args().out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.time()
     write_table(out_dir / "hooke_table.csv", "omega", hooke_rows())

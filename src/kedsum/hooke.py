@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.interpolate import InterpolatedUnivariateSpline
 from scipy.optimize import brentq
 
@@ -217,6 +216,16 @@ def _numerov_sweeps(eps: float, omega: float, lam: float,
     return u_out, u_in, m, h
 
 
+def _simpson(y: np.ndarray, s: np.ndarray) -> float:
+    """Composite Simpson rule for y on the uniform grid s (odd length)."""
+    if s.size % 2 == 0:
+        raise ValueError(f"Simpson's rule needs an odd number of points, "
+                         f"got {s.size}")
+    h = (s[-1] - s[0]) / (s.size - 1)
+    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2])
+                            + 2.0 * np.sum(y[2:-1:2])))
+
+
 def _wronskian(eps: float, omega: float, lam: float, s: np.ndarray) -> float:
     """Matching determinant W = u_out' u_in - u_in' u_out at the seam.
 
@@ -265,7 +274,7 @@ def _solve_relative(omega: float, lam: float, n_points: int,
     u = np.empty_like(s)
     u[:m + 1] = u_out[:m + 1]
     u[m:] = u_in[m:] * (u_out[m] / u_in[m])
-    norm = simpson(u * u, x=s)
+    norm = _simpson(u * u, s)
     u /= math.sqrt(norm)
     if u[np.argmax(np.abs(u))] < 0.0:
         u = -u
@@ -380,7 +389,7 @@ def solve_general(params: HookeParams, n_points: int = 8001,
         coulomb = np.zeros_like(s)
         coulomb[1:] = lam * u[1:] ** 2 / s[1:]
         pot_density = pot_density + coulomb
-    t_rel = eps_rel - simpson(pot_density, x=s)
+    t_rel = eps_rel - _simpson(pot_density, s)
 
     eps_cm = 1.5 * omega
     label = (f"hooke(omega={omega:g}, "

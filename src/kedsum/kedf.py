@@ -10,8 +10,9 @@ here and are validated against a brute-force 3-d Cartesian oracle in the
 test suite.
 
 Every function takes one radius (floats) or a batch of radii (1-d
-arrays, elementwise): the same code fills the tau table on a whole grid
-and serves the scalar callbacks of quadrature and bisection.
+arrays, elementwise): the same code fills the tau table on a whole grid,
+evaluates each refinement round of the quadrature and serves the scalar
+callbacks of bisection.
 
 All coefficients are exact rationals times powers of (3 pi^2); nothing
 is pre-rounded to decimals.  Atomic units throughout: energies in

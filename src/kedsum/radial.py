@@ -12,9 +12,10 @@ the only geometry is the radial half-line.  This module owns:
 * ``tabulated_derivatives`` -- densities interpolated through
   ``(r, rho)`` samples by a quintic spline in ``log rho``.
 
-Quadrature is delegated to QUADPACK (``scipy.integrate.quad``, adaptive
-Gauss-Kronrod); splines to FITPACK.  Both sit behind the interfaces
-above so callers never touch scipy directly.
+Quadrature is a globally adaptive Gauss-Kronrod 10/21 rule in numpy
+(``quad``) that evaluates each refinement round as one batch of radii;
+splines are FITPACK's.  Both sit behind the interfaces above so callers
+never touch scipy directly.
 """
 
 from __future__ import annotations
@@ -24,15 +25,61 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import UnivariateSpline
+from scipy.interpolate import splev, splrep
 
 FOUR_PI = 4.0 * math.pi
 
-# Relative accuracy asked of every radial integral.
+# Relative accuracy asked of every radial integral, and the most
+# subintervals one integral may be split into.
 QUAD_RELTOL = 1e-10
 QUAD_ABSTOL = 1e-13
 QUAD_LIMIT = 400
+
+# The 21-point Kronrod rule on [-1, 1] and its embedded 10-point Gauss
+# rule, as tabulated in QUADPACK's qk21 (Piessens et al., 1983): the
+# nonnegative nodes from 1 down to 0, and the Gauss weights of every
+# second one of them.  In the full ascending table the Gauss nodes are
+# GK21_NODES[1::2].
+_KRONROD_HALF = np.array([
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+    0.0,
+])
+_KRONROD_HALF_WEIGHTS = np.array([
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077208980355420,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_GAUSS_HALF_WEIGHTS = np.array([
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+GK21_NODES = np.concatenate((-_KRONROD_HALF[:-1], _KRONROD_HALF[::-1]))
+GK21_WEIGHTS = np.concatenate((_KRONROD_HALF_WEIGHTS[:-1],
+                               _KRONROD_HALF_WEIGHTS[::-1]))
+GAUSS10_WEIGHTS = np.concatenate((_GAUSS_HALF_WEIGHTS,
+                                  _GAUSS_HALF_WEIGHTS[::-1]))
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 # Tail rule: r_max is grown until the integrand weight
 # 4 pi r^2 (tau0 + tau2 + |tau4|) drops below this.  Bounding the
@@ -201,26 +248,103 @@ def _weighted(f: Callable, r):
     return FOUR_PI * r * r * f(r)
 
 
-def _quad_segment(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """QUADPACK on ``4 pi r^2 f`` over [lo, hi], f called one r at a time."""
-    value, abserr, info = quad(
-        lambda r: _weighted(f, r) if r > 0.0 else 0.0, lo, hi,
-        epsabs=QUAD_ABSTOL, epsrel=QUAD_RELTOL, limit=QUAD_LIMIT,
-        full_output=True)[:3]
-    # QUADPACK flags trouble through the ier field of the info dict.
-    # full_output=True suppresses the warning and lets us raise with the
-    # best estimate attached.
-    if isinstance(info, dict) and info.get("ier", 0) not in (0,):
-        # ier == 2 is roundoff-limited refinement; accept it when the
-        # reported error is already tiny relative to the value.
-        ier = info["ier"]
-        scale = max(abs(value), 1.0)
-        if not (ier == 2 and abserr <= 1e-9 * scale):
-            raise QuadratureError(
-                f"quadrature on [{lo:g}, {hi:g}] did not converge "
-                f"(QUADPACK ier={ier}, estimate {value:.12g}, "
-                f"error {abserr:.3g})",
-                best_estimate=value, achieved_error=abserr)
+def _gk21(f: Callable, lo: np.ndarray, hi: np.ndarray):
+    """QUADPACK's qk21 on every interval [lo_i, hi_i], f called once.
+
+    Returns each interval's Kronrod estimate and its error estimate:
+    the Gauss-Kronrod difference, scaled against the integrand's spread
+    over the interval and floored at 50 ulps of the integral of |f|.
+    """
+
+    center = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    values = np.asarray(
+        f((center[:, None] + half[:, None] * GK21_NODES).ravel()),
+        dtype=float).reshape(lo.size, GK21_NODES.size)
+    kronrod = values @ GK21_WEIGHTS
+    gauss = values[:, 1::2] @ GAUSS10_WEIGHTS
+    mean = 0.5 * kronrod
+    abs_half = np.abs(half)
+    resabs = (np.abs(values) @ GK21_WEIGHTS) * abs_half
+    resasc = (np.abs(values - mean[:, None]) @ GK21_WEIGHTS) * abs_half
+    error = np.abs((kronrod - gauss) * half)
+    nonflat = resasc != 0.0
+    ratio = 200.0 * error / np.where(nonflat, resasc, 1.0)
+    error = np.where(nonflat, resasc * np.minimum(1.0, ratio ** 1.5), error)
+    floor = resabs > _TINY / (50.0 * _EPS)
+    error = np.where(floor, np.maximum(50.0 * _EPS * resabs, error), error)
+    return kronrod * half, error
+
+
+def quad(f: Callable, a: float, b: float):
+    """Globally adaptive Gauss-Kronrod 10/21 estimate of int_a^b f.
+
+    f takes a 1-d array of radii and returns an array of values; the
+    endpoints are never evaluated.  Each round evaluates the 21 nodes of
+    every interval that still needs work in one call of f, then bisects
+    the intervals with the largest error estimates, as many as it takes
+    for their errors to cover the excess over the tolerance
+    max(QUAD_ABSTOL, QUAD_RELTOL |value|), and at most QUAD_LIMIT
+    intervals in all.
+
+    Returns ``(value, abserr, info)``; ``info["neval"]`` counts the
+    integrand values and ``info["status"]`` is 0 on convergence, 1 when
+    the interval limit is reached and 2 when an interval is too small to
+    bisect.
+    """
+
+    lo = hi = values = errors = np.empty(0)
+    new_lo, new_hi = np.array([a], dtype=float), np.array([b], dtype=float)
+    neval, status = 0, 0
+    while True:
+        new_values, new_errors = _gk21(f, new_lo, new_hi)
+        neval += GK21_NODES.size * new_lo.size
+        lo, hi = np.concatenate((lo, new_lo)), np.concatenate((hi, new_hi))
+        values = np.concatenate((values, new_values))
+        errors = np.concatenate((errors, new_errors))
+        value, abserr = float(np.sum(values)), float(np.sum(errors))
+        excess = abserr - max(QUAD_ABSTOL, QUAD_RELTOL * abs(value))
+        if excess <= 0.0:
+            break
+        room = QUAD_LIMIT - lo.size
+        if room == 0:
+            status = 1
+            break
+        order = np.argsort(-errors, kind="stable")
+        count = int(np.searchsorted(np.cumsum(errors[order]), excess)) + 1
+        pick = order[:min(count, room)]
+        mid = 0.5 * (lo[pick] + hi[pick])
+        # QUADPACK's test for an interval too small to split further.
+        if np.any(np.maximum(np.abs(lo[pick]), np.abs(hi[pick]))
+                  <= (1.0 + 100.0 * _EPS) * (np.abs(mid) + 1000.0 * _TINY)):
+            status = 2
+            break
+        new_lo = np.concatenate((lo[pick], mid))
+        new_hi = np.concatenate((mid, hi[pick]))
+        keep = np.ones(lo.size, dtype=bool)
+        keep[pick] = False
+        lo, hi = lo[keep], hi[keep]
+        values, errors = values[keep], errors[keep]
+    return value, abserr, {"neval": neval, "status": status}
+
+
+def _quad_segment(f: Callable, lo: float, hi: float) -> float:
+    """``quad`` on ``4 pi r^2 f`` over [lo, hi], f called on arrays.
+
+    Status 2 (an interval too small to bisect) is accepted when the
+    error estimate is already tiny against the value; any other failure
+    raises with the best estimate attached.
+    """
+
+    value, abserr, info = quad(lambda r: _weighted(f, r), lo, hi)
+    status = info["status"]
+    if status and not (status == 2 and abserr <= 1e-9 * max(abs(value),
+                                                             1.0)):
+        raise QuadratureError(
+            f"quadrature on [{lo:g}, {hi:g}] did not converge "
+            f"(status {status}, estimate {value:.12g}, "
+            f"error {abserr:.3g})",
+            best_estimate=value, achieved_error=abserr)
     return value
 
 
@@ -232,8 +356,8 @@ def integrate_radial(f: Callable, grid: RadialGrid,
     grid nodes -- ``node_values`` when the caller already holds them,
     else one batched ``f(grid.positive_nodes)`` -- are checked for
     finiteness first, so a broken integrand fails loudly with the
-    offending radius instead of poisoning the quadrature.  QUADPACK
-    then calls f one radius at a time.
+    offending radius instead of poisoning the quadrature.  ``quad``
+    then calls f on arrays of radii, one per refinement round.
     """
 
     nodes = grid.positive_nodes
@@ -403,10 +527,11 @@ def load_density_table(path) -> tuple[np.ndarray, np.ndarray]:
     """Read (r, rho) samples from a text table.
 
     Two formats are accepted: a plain two-column ``r rho`` file ('#'
-    starts a comment), or a CSV with a header row naming ``r`` and
-    ``rho`` columns, which is what the dump command writes, so its
-    output can be fed straight back in.  The first line that is not a
-    comment is a header when one of its fields is not a number.
+    starts a comment), or a table with a header row naming ``r`` and
+    ``rho`` columns -- a CSV, which is what the dump command writes, so
+    its output can be fed straight back in, or whitespace-separated when
+    the header has no comma.  The first line that is not a comment is a
+    header when one of its fields is not a number.
     """
 
     with open(path, "r", encoding="utf-8") as fh:
@@ -422,13 +547,15 @@ def load_density_table(path) -> tuple[np.ndarray, np.ndarray]:
     except ValueError:
         header = True
     if header:
-        names = [c.strip() for c in first.split(",")]
+        # A header without commas names whitespace-separated columns.
+        delimiter = "," if "," in first else None
+        names = [c.strip() for c in first.split(delimiter)]
         if "r" not in names or "rho" not in names:
             raise ValueError(
                 f"{path}: header row lacks 'r' and 'rho' columns: {first!r}")
         try:
             # skiprows counts comment lines too: skip through the header.
-            data = np.loadtxt(path, comments="#", delimiter=",",
+            data = np.loadtxt(path, comments="#", delimiter=delimiter,
                               skiprows=header_end,
                               usecols=(names.index("r"), names.index("rho")),
                               ndmin=2)
@@ -475,14 +602,15 @@ def tabulated_derivatives(r: np.ndarray, rho: np.ndarray,
             f"zero density sample at r={bad:.8g}; log-space fit needs "
             "strictly positive samples")
 
-    spline = UnivariateSpline(r, np.log(rho), k=5, s=0.0)
-    dsplines = [spline.derivative(k) for k in range(1, 5)]
+    # One knot vector and coefficient array serve all five derivatives.
+    tck = splrep(r, np.log(rho), k=5, s=0)
 
     def profile(radius) -> np.ndarray:
         # FITPACK returns 0-d arrays for a float radius; [()] turns
         # them into numpy floats, which are cheaper to combine.
-        y1, y2, y3, y4 = (d(radius)[()] for d in dsplines)
-        value = np.exp(spline(radius)[()])
+        y0, y1, y2, y3, y4 = (splev(radius, tck, der=k)[()]
+                              for k in range(5))
+        value = np.exp(y0)
         # Faa di Bruno for exp(y(r)).
         return np.array([
             value,

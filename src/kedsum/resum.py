@@ -188,8 +188,8 @@ def tau_table(model: DensityModel, grid: RadialGrid) -> TauPoint:
     evaluation.
 
     This (4, n) table is what every method's finiteness check and pole
-    scan reads; quadrature and bisection evaluate the same functions
-    one radius at a time.
+    scan reads; quadrature evaluates the same functions on batches of
+    its own nodes, and bisection one radius at a time.
     """
 
     nodes = grid.positive_nodes

@@ -7,14 +7,18 @@ comparisons against published numbers live in the acceptance suite.
 
 import csv
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import kedsum
 from kedsum.cli import DUMP_COLUMNS, main
 from kedsum.hooke import SolverError
 from kedsum.radial import grid_for_density, load_density_table, \
@@ -22,6 +26,8 @@ from kedsum.radial import grid_for_density, load_density_table, \
 from kedsum.resum import ResumMethod, integrate_method
 
 PERCENT_RE = re.compile(r"^[+-]\d+\.\d{2}$")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = Path(kedsum.__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -108,8 +114,7 @@ def test_atom_row_helium(runner):
 
 def test_readme_rows_are_verbatim(runner):
     # Every "$ kedsum ..." block of the README is the command's output.
-    readme = (Path(__file__).parents[1] / "README.md").read_text(
-        encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     blocks = [block.split("```", 1)[0]
               for block in readme.split("```text\n")[1:]]
     commands = [b for b in blocks if b.startswith("$ kedsum ")]
@@ -329,3 +334,28 @@ def test_dump_flags_every_pole_that_integration_reports(runner, tmp_path,
     assert poles
     for pole in poles:
         assert any(abs(r - pole) < 0.05 * pole for r in flagged), pole
+
+
+# ---------------------------------------------------------------------------
+# Fresh interpreters.
+# ---------------------------------------------------------------------------
+
+def _python(args, cwd):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
+    done = _python(["-c", "import sys, kedsum.cli; "
+                    "print('scipy.integrate' in sys.modules)"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+def test_make_tables_help_writes_nothing(tmp_path):
+    done = _python([str(ROOT / "scripts" / "make_tables.py"), "--help"],
+                   tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage:")
+    assert list(tmp_path.iterdir()) == []

@@ -6,11 +6,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
-from kedsum import kedf, profiles, radial
+from kedsum import atoms, kedf, profiles, radial
 from kedsum.radial import (
     PrincipalValueError,
+    QuadratureError,
     RadialGrid,
     find_poles,
     grid_for_density,
@@ -88,6 +90,97 @@ def test_integrate_radial_is_linear(a, b):
     combined = integrate_radial(lambda r: a * f(r) + b * g(r), grid)
     split = a * integrate_radial(f, grid) + b * integrate_radial(g, grid)
     assert combined == pytest.approx(split, rel=1e-9, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The Gauss-Kronrod rule
+# ---------------------------------------------------------------------------
+
+def test_kronrod_table_embeds_gauss_legendre_10():
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    np.testing.assert_allclose(radial.GK21_NODES[1::2], nodes,
+                               rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(radial.GAUSS10_WEIGHTS, weights,
+                               rtol=0.0, atol=1e-15)
+
+
+def test_kronrod_rule_is_exact_through_degree_31():
+    degree = np.arange(32)
+    exact = np.where(degree % 2 == 0, 2.0 / (degree + 1), 0.0)
+    values = radial.GK21_NODES[None, :] ** degree[:, None] @ \
+        radial.GK21_WEIGHTS
+    np.testing.assert_allclose(values, exact, rtol=0.0, atol=2e-16)
+
+
+def _quadpack(f, a, b):
+    """scipy's QUADPACK under radial.quad's contract, as a reference."""
+    value, abserr, info = scipy.integrate.quad(
+        lambda r: float(f(np.array([r]))[0]), a, b,
+        epsabs=radial.QUAD_ABSTOL, epsrel=radial.QUAD_RELTOL,
+        limit=radial.QUAD_LIMIT, full_output=True)[:3]
+    return value, abserr, {"neval": info["neval"], "status": 0}
+
+
+def _helium_count():
+    model = atoms.density_model(atoms.bundled_basis("he"))
+    return integrate_radial(model.rho, grid_for_density(model))
+
+
+@pytest.mark.parametrize("integral", [
+    lambda: integrate_radial(lambda r: np.exp(-r * r),
+                             RadialGrid.power_spaced(1e-6, 12.0, 400)),
+    _helium_count,
+    lambda: principal_value_integrate(
+        lambda r: np.exp(-r) / (r - 1.0) / (FOUR_PI * r * r), [1.0],
+        _pv_grid()),
+], ids=["gaussian", "helium", "principal-value"])
+def test_quad_agrees_with_quadpack(integral, monkeypatch):
+    value = integral()
+    monkeypatch.setattr(radial, "quad", _quadpack)
+    assert value == pytest.approx(integral(), rel=1e-12)
+
+
+def test_interior_singularity_raises_with_best_estimate():
+    grid = RadialGrid.power_spaced(1e-6, 1.0, 100)
+    with pytest.raises(QuadratureError) as caught:
+        integrate_radial(
+            lambda r: np.abs(r - 1.0 / 3.0) ** -0.9 / (FOUR_PI * r * r),
+            grid)
+    exact = ((1.0 / 3.0) ** 0.1 + (2.0 / 3.0) ** 0.1) / 0.1
+    assert math.isfinite(caught.value.best_estimate)
+    assert caught.value.best_estimate == pytest.approx(exact, rel=0.05)
+    assert caught.value.achieved_error > 0.0
+
+
+def test_quad_never_evaluates_the_endpoints():
+    def integrand(r):
+        if np.any(r == 0.0):
+            raise ZeroDivisionError("r = 0 was evaluated")
+        return np.sin(r) / r
+
+    value, _, info = radial.quad(integrand, 0.0, 1.0)
+    assert info["status"] == 0
+    assert value == pytest.approx(0.946083070367183, rel=1e-14)
+
+
+def test_quad_counts_21_nodes_per_interval_in_one_call_per_round():
+    sizes = []
+
+    def integrand(r):
+        sizes.append(r.size)
+        return 1.0 / (1e-3 + (r - 0.3) ** 2)
+
+    value, abserr, info = radial.quad(integrand, 0.0, 1.0)
+    exact = (math.atan(0.7 / math.sqrt(1e-3))
+             + math.atan(0.3 / math.sqrt(1e-3))) / math.sqrt(1e-3)
+    assert value == pytest.approx(exact, rel=1e-10)
+    assert abserr <= radial.QUAD_RELTOL * abs(value)
+    # One call per round: the first interval, then both halves of every
+    # interval the round bisects.
+    assert len(sizes) > 2
+    assert sizes[0] == 21
+    assert all(size % 42 == 0 for size in sizes[1:])
+    assert info["neval"] == sum(sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +375,11 @@ def test_load_density_table_csv_header(tmp_path):
     r, rho = load_density_table(commented)
     assert r.tolist() == [0.1, 0.2]
     assert rho.tolist() == [2.0, 1.5]
+    spaced = tmp_path / "spaced.txt"
+    spaced.write_text("r rho\n0.1 1.0\n0.2 0.9\n")
+    r, rho = load_density_table(spaced)
+    assert r.tolist() == [0.1, 0.2]
+    assert rho.tolist() == [1.0, 0.9]
 
 
 def test_load_density_table_bad_inputs(tmp_path):

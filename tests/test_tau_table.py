@@ -1,8 +1,8 @@
 """The batched tau table against the scalar callbacks.
 
-Quadrature and bisection evaluate the tau terms one radius at a time;
-the finiteness checks and pole scans read ``resum.tau_table``, which
-evaluates every grid node in one batch.  Both go through the same
+Bisection evaluates the tau terms one radius at a time; the finiteness
+checks and pole scans read ``resum.tau_table``, which evaluates every
+grid node in one batch.  Both go through the same
 functions, so they must agree node by node.
 """
 
