@@ -19,7 +19,7 @@ from pathlib import Path
 from kedsum.atoms import bundled_basis, density_model, hf_kinetic, \
     list_bundled
 from kedsum.hooke import table_density
-from kedsum.resum import ALL_METHODS, error_columns
+from kedsum.resum import error_columns, table_headers
 
 HOOKE_OMEGAS = (0.25, 0.5, 1.0, 4.0)
 ATOM_ORDER = ("he", "be", "ne", "ar")
@@ -29,8 +29,7 @@ def hooke_rows():
     rows = []
     for omega in HOOKE_OMEGAS:
         model, t_ref = table_density(omega)
-        rows.append([f"{omega:g}", f"{t_ref:.6g}"]
-                    + error_columns(model, t_ref))
+        rows.append([f"{omega:g}"] + error_columns(model, t_ref))
     return rows
 
 
@@ -41,14 +40,13 @@ def atom_rows():
             continue
         basis = bundled_basis(key)
         t_ref = hf_kinetic(basis)
-        rows.append([basis.element, f"{t_ref:.6g}"]
+        rows.append([basis.element]
                     + error_columns(density_model(basis), t_ref))
     return rows
 
 
 def write_table(path, first_header, rows):
-    headers = [first_header, "T_ref"] + [f"err%[{m.label}]"
-                                         for m in ALL_METHODS]
+    headers = table_headers(first_header, "T_ref")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(headers)

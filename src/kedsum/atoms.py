@@ -317,7 +317,7 @@ def density_derivs(basis: STOBasisSet, r) -> DensityDerivatives:
     """rho and d1..d4 at radius r (a float or an array of radii)."""
     if np.any(np.asarray(r) <= 0.0):
         raise ValueError(f"density_derivs needs r > 0, got {r!r}")
-    return DensityDerivatives.from_jet(_density_jet(basis, r))
+    return DensityDerivatives(*_density_jet(basis, r))
 
 
 def _density_jet(basis: STOBasisSet, r) -> np.ndarray:

@@ -26,7 +26,7 @@ from .radial import PV_WINDOW_FRACTION, DensityModel, PrincipalValueError, \
     QuadratureError, grid_for_density, load_density_table, \
     tabulated_derivatives
 from .resum import ALL_METHODS, EVALUATORS, PadePole, ResumMethod, \
-    error_columns, method_poles, tau_table
+    error_columns, method_poles, table_headers, tau_table
 
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
@@ -90,14 +90,13 @@ def hooke(omega, non_interacting, methods, csv_path):
     method_list = _parse_methods(methods)
     try:
         model, t_ref = table_density(omega, interacting=not non_interacting)
-        errors = error_columns(model, t_ref, method_list)
+        cells = error_columns(model, t_ref, method_list)
     except SolverError as exc:
         _fail(EXIT_NUMERICAL, f"solver failed: {exc}")
     except NUMERICAL_ERRORS as exc:
         _fail(EXIT_NUMERICAL, str(exc))
-    headers = ["omega", "T_s"] + [f"err%[{m.label}]" for m in method_list]
-    row = [f"{omega:g}", f"{t_ref:.6g}"] + errors
-    _emit_row(headers, row, csv_path)
+    _emit_row(table_headers("omega", "T_s", method_list),
+              [f"{omega:g}"] + cells, csv_path)
 
 
 def _load_basis(spec: str) -> STOBasisSet:
@@ -128,13 +127,11 @@ def atom(basis, methods, csv_path):
     try:
         model = density_model(basis_set)
         t_ref = hf_kinetic(basis_set)
-        errors = error_columns(model, t_ref, method_list)
+        cells = error_columns(model, t_ref, method_list)
     except NUMERICAL_ERRORS as exc:
         _fail(EXIT_NUMERICAL, str(exc))
-    headers = (["element", "T_HF"]
-               + [f"err%[{m.label}]" for m in method_list])
-    row = [basis_set.element, f"{t_ref:.6g}"] + errors
-    _emit_row(headers, row, csv_path)
+    _emit_row(table_headers("element", "T_HF", method_list),
+              [basis_set.element] + cells, csv_path)
 
 
 DUMP_COLUMNS = ["r", "rho", "tau0", "tau2", "tau4", "tau6",

@@ -9,10 +9,10 @@ radial derivatives rho', rho'', rho''', rho'''' -- those reductions live
 here and are validated against a brute-force 3-d Cartesian oracle in the
 test suite.
 
-Every function takes one radius (floats) or a batch of radii (1-d
-arrays, elementwise): the same code fills the tau table on a whole grid,
-evaluates each refinement round of the quadrature and serves the scalar
-callbacks of bisection.
+Every function works elementwise on a batch of radii (1-d arrays), or
+on one radius: the same code fills the tau table on a whole grid, weighs
+the tail rule's radius ladder, and evaluates each bisection step of the
+pole scan and each refinement round of the quadrature.
 
 All coefficients are exact rationals times powers of (3 pi^2); nothing
 is pre-rounded to decimals.  Atomic units throughout: energies in
@@ -60,20 +60,14 @@ class Contractions:
 class TauPoint:
     """The four expansion terms of the kinetic energy density.
 
-    Floats at one radius; at a batch of radii each field is a 1-d
-    array, and the four rows make up the (4, n) tau table.
+    At a batch of radii each field is a 1-d array, and the four rows
+    make up the (4, n) tau table; at one radius they are scalars.
     """
 
     tau0: float | np.ndarray
     tau2: float | np.ndarray
     tau4: float | np.ndarray
     tau6: float | np.ndarray
-
-
-def any_true(mask) -> bool:
-    """np.any for one radius (a bool) or a batch (an array), without
-    np.any's dispatch cost on the scalar callbacks."""
-    return bool(mask.any() if isinstance(mask, np.ndarray) else mask)
 
 
 def contractions(d: DensityDerivatives, r) -> Contractions:
@@ -85,7 +79,7 @@ def contractions(d: DensityDerivatives, r) -> Contractions:
     (radial) gradient onto rho' rho'' r_hat.
     """
 
-    if any_true(r <= 0.0):
+    if np.any(r <= 0.0):
         raise ValueError(
             f"contractions need r > 0, got r={float(np.min(r))!r}")
     inv_r = 1.0 / r
@@ -104,7 +98,7 @@ def contractions(d: DensityDerivatives, r) -> Contractions:
 
 def _require_density(rho, name: str, strict: bool):
     """Refuse negative densities (and zero ones when ``strict``)."""
-    if any_true(rho <= 0.0 if strict else rho < 0.0):
+    if np.any(rho <= 0.0 if strict else rho < 0.0):
         bound = "rho > 0" if strict else "rho >= 0"
         raise ValueError(f"{name} needs {bound}, got rho="
                          f"{float(np.min(rho))!r}")
@@ -124,9 +118,9 @@ def tau2(rho, g2):
     """
     _require_density(rho, "tau2", strict=False)
     vanishing = rho == 0.0
-    if not any_true(vanishing):
+    if not np.any(vanishing):
         return g2 / (72.0 * rho)
-    if any_true(vanishing & (g2 != 0.0)):
+    if np.any(vanishing & (g2 != 0.0)):
         raise ValueError("tau2 undefined: vanishing density with a "
                          "nonzero gradient")
     return np.where(vanishing, 0.0,

@@ -119,8 +119,8 @@ class PrincipalValueError(RuntimeError):
 
 @dataclass(frozen=True)
 class DensityDerivatives:
-    """rho and d^k rho/dr^k for k = 1..4, at one radius (floats) or at
-    a batch of radii (1-d arrays)."""
+    """rho and d^k rho/dr^k for k = 1..4 at a batch of radii (1-d
+    arrays), or at one radius (numpy scalars)."""
 
     rho: float | np.ndarray
     d1: float | np.ndarray
@@ -128,21 +128,16 @@ class DensityDerivatives:
     d3: float | np.ndarray
     d4: float | np.ndarray
 
-    @classmethod
-    def from_jet(cls, jet) -> "DensityDerivatives":
-        jet = np.asarray(jet, dtype=float)
-        return cls(*(jet.tolist() if jet.ndim == 1 else jet))
-
 
 @dataclass(frozen=True)
 class DensityModel:
     """A radial density with four derivatives available at any r > 0.
 
-    ``profile`` maps a float radius to a ``(5,)`` derivative jet and a
-    1-d array of n radii to a ``(5, n)`` jet (see ``jets``); ``eval``
-    and ``rho`` follow the same contract, calling ``profile`` on at most
-    ``EVAL_BLOCK`` radii at a time.  ``electron_count`` is the
-    analytic or measured value of ``4 pi int r^2 rho dr``; shipped
+    ``profile`` maps a 1-d array of n radii to a ``(5, n)`` derivative
+    jet (see ``jets``), and a float or 0-d array to a ``(5,)`` jet;
+    ``eval`` and ``rho`` follow the same contract, calling ``profile``
+    on at most ``EVAL_BLOCK`` radii at a time.  ``electron_count`` is
+    the analytic or measured value of ``4 pi int r^2 rho dr``; shipped
     models must satisfy it to 1e-8 relative.  ``r_support`` bounds the
     trustworthy domain for models that only exist on a finite table.
     """
@@ -154,8 +149,6 @@ class DensityModel:
 
     def _jet(self, r) -> np.ndarray:
         """``profile(r)``, an array taken EVAL_BLOCK radii at a time."""
-        if np.ndim(r) == 0:
-            return self.profile(r)
         r = np.asarray(r, dtype=float)
         if r.size <= EVAL_BLOCK:
             return self.profile(r)
@@ -164,11 +157,10 @@ class DensityModel:
                               axis=1)
 
     def eval(self, r) -> DensityDerivatives:
-        return DensityDerivatives.from_jet(self._jet(r))
+        return DensityDerivatives(*self._jet(r))
 
     def rho(self, r):
-        value = self._jet(r)[0]
-        return value if np.ndim(value) else float(value)
+        return self._jet(r)[0]
 
 
 @dataclass(frozen=True)
@@ -209,42 +201,52 @@ class RadialGrid:
 def grid_for_density(model: DensityModel) -> RadialGrid:
     """Pick a cutoff by the tail rule and lay 1600 power-spaced nodes.
 
-    r_max is grown geometrically until the integrand weight
-    4 pi r^2 (tau0 + tau2 + |tau4|) falls below ``TAIL_TOLERANCE``
-    (capped at the model's support when finite).  The fourth-order term
-    has the slowest-decaying tail of any integrand this package sums,
-    so everything beyond the cutoff is negligible against the table
-    precision targeted here; the Thomas-Fermi weight alone is smaller
-    still, which keeps the grid invariant satisfied with a wide margin.
+    r_max is the first radius of the ladder 1.25^k, evaluated as one
+    batch, where the integrand weight 4 pi r^2 (tau0 + tau2 + |tau4|)
+    is not above ``TAIL_TOLERANCE`` (capped at the model's support when
+    finite).  The fourth-order term has the slowest-decaying tail of any
+    integrand this package sums, so everything beyond the cutoff is
+    negligible against the table precision targeted here; the
+    Thomas-Fermi weight alone is smaller still, which keeps the grid
+    invariant satisfied with a wide margin.
     """
 
     # Imported here: kedf depends on this module for DensityDerivatives.
     from .kedf import tau0, tau2, tau4, contractions
 
     cap = model.r_support
-    r = 1.0 if cap is None else min(1.0, cap)
+    start = 1.0 if cap is None else min(1.0, cap)
+    # Repeated multiplication, through the first radius past 1e4.
+    steps = math.ceil(math.log(1e4 / start) / math.log(1.25)) + 1
+    ladder = np.cumprod(np.concatenate(([start], np.full(steps, 1.25))))
+    stop = (ladder > 1e4) | (cap is not None and ladder >= cap)
+    stop[0] = False  # the start is weighed even when it is the cap
+    end = int(np.argmax(stop))
+    radii = ladder[:end]
 
-    def tail_weight(radius: float) -> float:
-        d = model.eval(radius)
-        if d.rho <= 0.0:
-            return 0.0
-        c = contractions(d, radius)
-        weight = tau0(d.rho) + tau2(d.rho, c.g2) + abs(tau4(c, d.rho))
-        return FOUR_PI * radius * radius * weight
-
-    while tail_weight(r) > TAIL_TOLERANCE:
-        r *= 1.25
-        if cap is not None and r >= cap:
-            r = cap
-            break
-        if r > 1e4:
-            raise ValueError("tail rule did not terminate; density does "
-                             "not decay")
-    return RadialGrid.power_spaced(r * 1e-5, r, 1600)
+    d = model.eval(radii)
+    live = d.rho > 0.0
+    r = radii[live]
+    d = DensityDerivatives(d.rho[live], d.d1[live], d.d2[live],
+                           d.d3[live], d.d4[live])
+    c = contractions(d, r)
+    weight = np.zeros(radii.size)
+    weight[live] = FOUR_PI * r * r * (tau0(d.rho) + tau2(d.rho, c.g2)
+                                      + np.abs(tau4(c, d.rho)))
+    # Not "<=": a NaN weight ends the ladder, as any non-positive rho does.
+    below = ~(weight > TAIL_TOLERANCE)
+    if np.any(below):
+        r_max = float(radii[np.argmax(below)])
+    elif cap is not None and ladder[end] >= cap:
+        r_max = cap
+    else:
+        raise ValueError("tail rule did not terminate; density does "
+                         "not decay")
+    return RadialGrid.power_spaced(r_max * 1e-5, r_max, 1600)
 
 
 def _weighted(f: Callable, r):
-    """The radial measure 4 pi r^2 times f, for a float or an array."""
+    """The radial measure 4 pi r^2 times f, on an array of radii."""
     return FOUR_PI * r * r * f(r)
 
 
@@ -352,7 +354,7 @@ def integrate_radial(f: Callable, grid: RadialGrid,
                      node_values: np.ndarray | None = None) -> float:
     """Adaptive estimate of ``4 pi int_0^rmax r^2 f(r) dr``.
 
-    f takes a float or an array of radii.  Its values on the positive
+    f takes a 1-d array of radii.  Its values on the positive
     grid nodes -- ``node_values`` when the caller already holds them,
     else one batched ``f(grid.positive_nodes)`` -- are checked for
     finiteness first, so a broken integrand fails loudly with the
@@ -378,10 +380,11 @@ def find_poles(denominator: Callable, grid: RadialGrid,
 
     The scan reads the denominator on the positive grid nodes:
     ``node_values`` when the caller already holds them, else one batched
-    ``denominator(grid.positive_nodes)``.  Each bracket is then narrowed
-    by scalar bisection until its width drops below 1e-12 * r_max.  Only
-    odd-order (sign-changing) roots are seen, which is what the
-    principal-value machinery can handle anyway.
+    ``denominator(grid.positive_nodes)``.  Every bracket is then bisected
+    at once: each step calls the denominator once, on the midpoints of
+    all brackets still wider than 1e-12 * r_max.  Only odd-order
+    (sign-changing) roots are seen, which is what the principal-value
+    machinery can handle anyway.
     """
 
     nodes = grid.positive_nodes
@@ -391,94 +394,88 @@ def find_poles(denominator: Callable, grid: RadialGrid,
         bad = nodes[~np.isfinite(values)][0]
         raise ValueError(f"denominator is not finite at r={bad:.12g}")
 
-    width_target = 1e-12 * grid.r_max
-    poles: list[float] = []
     left, right = values[:-1], values[1:]
-    for i in np.flatnonzero((left == 0.0) | (left * right < 0.0)):
-        a, b = float(nodes[i]), float(nodes[i + 1])
-        fa = float(values[i])
-        if fa == 0.0:
-            poles.append(a)
-            continue
-        while b - a > width_target:
-            mid = 0.5 * (a + b)
-            fm = denominator(mid)
-            if fm == 0.0:
-                a = b = mid
-                break
-            if fa * fm < 0.0:
-                b = mid
-            else:
-                a, fa = mid, fm
-        poles.append(0.5 * (a + b))
+    brackets = np.flatnonzero((left == 0.0) | (left * right < 0.0))
+    a, fa = nodes[brackets], values[brackets]
+    # A root on a left node closes its bracket there.
+    b = np.where(fa == 0.0, a, nodes[brackets + 1])
+    width_target = 1e-12 * grid.r_max
+    while True:
+        open_ = np.flatnonzero(b - a > width_target)
+        if open_.size == 0:
+            break
+        mid = 0.5 * (a[open_] + b[open_])
+        fm = denominator(mid)
+        left_half = fa[open_] * fm < 0.0
+        # An exact zero closes its bracket: both ends move to mid.
+        to_b = left_half | (fm == 0.0)
+        b[open_[to_b]] = mid[to_b]
+        a[open_[~left_half]] = mid[~left_half]
+        fa[open_[~left_half]] = fm[~left_half]
+    poles = (0.5 * (a + b)).tolist()
     if values[-1] == 0.0:
         poles.append(float(nodes[-1]))
     return sorted(poles)
 
 
-def _pole_windows(poles: Sequence[float], r_max: float) -> list[float]:
+def _pole_windows(poles: np.ndarray, r_max: float) -> np.ndarray:
     """Symmetric half-widths delta for each pole, per the window rule."""
-    deltas = []
-    for i, pole in enumerate(poles):
-        delta = PV_WINDOW_FRACTION * pole
-        if i > 0:
-            delta = min(delta, 0.5 * (pole - poles[i - 1]))
-        if i + 1 < len(poles):
-            delta = min(delta, 0.5 * (poles[i + 1] - pole))
-        delta = min(delta, 0.5 * pole, 0.5 * (r_max - pole))
-        deltas.append(delta)
-    return deltas
+    half_gaps = 0.5 * np.diff(poles)
+    deltas = PV_WINDOW_FRACTION * poles
+    deltas[1:] = np.minimum(deltas[1:], half_gaps)
+    deltas[:-1] = np.minimum(deltas[:-1], half_gaps)
+    return np.minimum(deltas, np.minimum(0.5 * poles, 0.5 * (r_max - poles)))
 
 
-def _residue(f: Callable, pole: float, delta: float) -> float:
-    """Estimate A = lim (r - r*) g(r), g = 4 pi r^2 f, by two-sided
-    Richardson steps.
+def _window_integrals(f: Callable, poles: np.ndarray,
+                      deltas: np.ndarray) -> np.ndarray:
+    """Integral of g - A/(r - r*), g = 4 pi r^2 f, over every window.
 
-    The symmetric average kills the odd error terms, so the ladder
-    converges as h^2, h^4, ...  A ladder that does not settle flags a
-    pole that is not simple, and the PV prescription does not apply.
-    Both sides of the ladder, and the window edges, are one batch each.
+    Each window is evaluated as int_0^delta [g(r*+t) + g(r*-t)] dt:
+    mirrored nodes make the subtracted 1/(r - r*) term cancel pairwise,
+    so its symmetric principal value is zero exactly by construction.
+    The folded integrand is smooth, so a fixed 64-point Gauss-Legendre
+    rule suffices.
+
+    The residue A = lim (r - r*) g(r) is estimated alongside by
+    two-sided Richardson steps.  The symmetric average kills the odd
+    error terms, so the ladder converges as h^2, h^4, ...  A ladder that
+    does not settle flags a pole that is not simple, and the PV
+    prescription does not apply.  Every ladder and every window node of
+    every pole is one batched call of f.
     """
 
-    offsets = delta / np.array([1.0, 2.0, 4.0, 8.0, 16.0])
-    above = _weighted(f, pole + offsets)
-    below = _weighted(f, pole - offsets)
-    steps = offsets[1:]
-    averages = list(0.5 * (steps * above[1:] - steps * below[1:]))
+    offsets = deltas[:, None] / np.array([1.0, 2.0, 4.0, 8.0, 16.0])
+    t = 0.5 * deltas[:, None] * (_PV_GAUSS_NODES + 1.0)
+    w = 0.5 * deltas[:, None] * _PV_GAUSS_WEIGHTS
+    radii = poles[:, None] + np.concatenate((offsets, -offsets, t, -t),
+                                            axis=1)
+    values = _weighted(f, radii.ravel()).reshape(radii.shape)
+    above, below, plus, minus = np.split(
+        values, [5, 10, 10 + _PV_GAUSS_NODES.size], axis=1)
+
+    steps = offsets[:, 1:]
+    averages = 0.5 * (steps * above[:, 1:] - steps * below[:, 1:])
     # One Richardson sweep in h^2, then another in h^4.
-    first = [(4.0 * averages[i + 1] - averages[i]) / 3.0
-             for i in range(len(averages) - 1)]
-    second = [(16.0 * first[i + 1] - first[i]) / 15.0
-              for i in range(len(first) - 1)]
-    best, previous = second[-1], second[-2]
-    edge_scale = delta * max(abs(above[0]), abs(below[0]))
-    scale = max(abs(best), edge_scale, 1e-30)
+    first = (4.0 * averages[:, 1:] - averages[:, :-1]) / 3.0
+    second = (16.0 * first[:, 1:] - first[:, :-1]) / 15.0
+    best, previous = second[:, -1], second[:, -2]
+    edge_scale = deltas * np.maximum(np.abs(above[:, 0]),
+                                     np.abs(below[:, 0]))
+    scale = np.maximum(np.maximum(np.abs(best), edge_scale), 1e-30)
     # Deliberately coarse test: an odd-order pole makes the ladder grow
     # by factors of four per step, so the mismatch lands at order one,
     # while spline-backed densities merely stall at a small smoothness
     # floor that a tight tolerance would misread as a bad pole.
-    if abs(best - previous) > 1e-2 * scale:
+    bad = np.abs(best - previous) > 1e-2 * scale
+    if np.any(bad):
+        i = int(np.argmax(bad))
         raise PrincipalValueError(
-            f"residue estimate did not converge at r={pole:.8g} "
-            f"(ladder {[float(a) for a in averages]} -> {best:.6g}); "
+            f"residue estimate did not converge at r={poles[i]:.8g} "
+            f"(ladder {averages[i].tolist()} -> {best[i]:.6g}); "
             "pole does not look simple")
-    return best
-
-
-def _window_integral(f: Callable, pole: float, delta: float) -> float:
-    """Integral of g - A/(r - r*), g = 4 pi r^2 f, over the window.
-
-    Evaluated as int_0^delta [g(r*+t) + g(r*-t)] dt: mirrored nodes make
-    the subtracted 1/(r - r*) term cancel pairwise, so its symmetric
-    principal value is zero exactly by construction.  The folded
-    integrand is smooth, so a fixed Gauss-Legendre rule suffices; its
-    128 mirrored nodes are evaluated as one batch.
-    """
-
-    t = 0.5 * delta * (_PV_GAUSS_NODES + 1.0)
-    w = 0.5 * delta * _PV_GAUSS_WEIGHTS
-    mirrored = _weighted(f, np.concatenate((pole + t, pole - t)))
-    return float(np.dot(w, mirrored[:t.size] + mirrored[t.size:]))
+    # np.dot window by window: einsum and sum would round differently.
+    return np.array([np.dot(wi, fi) for wi, fi in zip(w, plus + minus)])
 
 
 def principal_value_integrate(f: Callable,
@@ -488,13 +485,14 @@ def principal_value_integrate(f: Callable,
 
     With no poles this is exactly ``integrate_radial``.  Otherwise the
     domain is split into plain segments plus a symmetric window around
-    each pole; the window uses pole subtraction (see _window_integral)
-    and the residue ladder doubles as a simple-pole sanity check.  f
-    takes a float or an array of radii, as for ``integrate_radial``.
+    each pole; the windows use pole subtraction and their residue
+    ladders double as a simple-pole sanity check (see
+    _window_integrals).  f takes an array of radii, as for
+    ``integrate_radial``.
     """
 
-    poles = sorted(float(p) for p in poles)
-    if not poles:
+    poles = np.sort(np.asarray(poles, dtype=float))
+    if poles.size == 0:
         return integrate_radial(f, grid)
 
     r_max = grid.r_max
@@ -510,17 +508,17 @@ def principal_value_integrate(f: Callable,
                 "to separate with symmetric windows")
 
     deltas = _pole_windows(poles, r_max)
+    windows = _window_integrals(f, poles, deltas)
     total = 0.0
     cursor = 0.0
-    for pole, delta in zip(poles, deltas):
+    for pole, delta, window in zip(poles, deltas, windows):
         if pole - delta > cursor:
             total += _quad_segment(f, cursor, pole - delta)
-        _residue(f, pole, delta)
-        total += _window_integral(f, pole, delta)
+        total += window
         cursor = pole + delta
     if cursor < r_max:
         total += _quad_segment(f, cursor, r_max)
-    return total
+    return float(total)
 
 
 def load_density_table(path) -> tuple[np.ndarray, np.ndarray]:
@@ -606,10 +604,7 @@ def tabulated_derivatives(r: np.ndarray, rho: np.ndarray,
     tck = splrep(r, np.log(rho), k=5, s=0)
 
     def profile(radius) -> np.ndarray:
-        # FITPACK returns 0-d arrays for a float radius; [()] turns
-        # them into numpy floats, which are cheaper to combine.
-        y0, y1, y2, y3, y4 = (splev(radius, tck, der=k)[()]
-                              for k in range(5))
+        y0, y1, y2, y3, y4 = (splev(radius, tck, der=k) for k in range(5))
         value = np.exp(y0)
         # Faa di Bruno for exp(y(r)).
         return np.array([

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kedf import TauPoint, any_true, tau_point
+from .kedf import TauPoint, tau_point
 from .radial import (DensityModel, RadialGrid, find_poles, grid_for_density,
                      integrate_radial, principal_value_integrate)
 
@@ -127,10 +127,10 @@ def _rational(base, lead, square, den, pole_message: str):
     """
 
     zero = den == 0.0
-    if not any_true(zero):
+    if not np.any(zero):
         return base + square / den
     pole = zero & (lead != 0.0)
-    if any_true(pole):
+    if np.any(pole):
         value = float(np.broadcast_to(lead, np.shape(pole))[pole][0])
         raise PadePole(f"{pole_message} {value!r}")
     return np.where(zero, base,
@@ -167,8 +167,8 @@ def pade21_of_x(p: TauPoint, x: float):
                      f"[2/1](x={x!r}) pole: tau4 == tau6 x ==")
 
 
-# Each method's kinetic energy density, from the tau terms at one radius
-# or at a batch of radii.
+# Each method's kinetic energy density, from the tau terms at a batch of
+# radii (or at one radius).
 EVALUATORS = {
     ResumMethod.T0: lambda p: partial_sum(p, 0),
     ResumMethod.T02: lambda p: partial_sum(p, 2),
@@ -188,8 +188,8 @@ def tau_table(model: DensityModel, grid: RadialGrid) -> TauPoint:
     evaluation.
 
     This (4, n) table is what every method's finiteness check and pole
-    scan reads; quadrature evaluates the same functions on batches of
-    its own nodes, and bisection one radius at a time.
+    scan reads; quadrature, bisection and the PV windows evaluate the
+    same functions on batches of their own radii.
     """
 
     nodes = grid.positive_nodes
@@ -201,8 +201,8 @@ def method_poles(model: DensityModel, method: ResumMethod, grid: RadialGrid,
     """Poles of a method's integrand on the grid.
 
     For a Pade method these are the sign changes of its denominator,
-    scanned on the tau table and bisected one radius at a time; partial
-    sums have none.
+    scanned on the tau table and bisected together, one batch of
+    midpoints per step; partial sums have none.
     """
 
     denominator = _DENOMINATORS.get(method)
@@ -249,15 +249,24 @@ def run_methods(model: DensityModel, methods, grid: RadialGrid,
             for m in methods]
 
 
+def table_headers(key: str, reference: str,
+                  methods=ALL_METHODS) -> list[str]:
+    """The headers of an accuracy-table row: the row key, the reference
+    energy and one ``err%[label]`` per method."""
+    return [key, reference] + [f"err%[{m.label}]" for m in methods]
+
+
 def error_columns(model: DensityModel, t_ref: float,
                   methods=ALL_METHODS) -> list[str]:
-    """The error cells of an accuracy-table row.
+    """The cells of an accuracy-table row after its key.
 
-    Each method's percent error against ``t_ref``, integrated on the
-    density's tail-rule grid and printed to two decimals, as the CLI
-    rows and the table script show them.
+    ``t_ref`` to six significant digits, then each method's percent
+    error against it, integrated on the density's tail-rule grid and
+    printed to two decimals, as the CLI rows and the table script show
+    them.
     """
 
     grid = grid_for_density(model)
-    return [f"{rep.percent_error:+.2f}"
-            for rep in run_methods(model, methods, grid, t_ref)]
+    return [f"{t_ref:.6g}"] + [
+        f"{rep.percent_error:+.2f}"
+        for rep in run_methods(model, methods, grid, t_ref)]

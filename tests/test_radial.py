@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kedsum import atoms, kedf, profiles, radial
 from kedsum.radial import (
@@ -43,6 +44,13 @@ def test_grid_rejects_bad_nodes():
         RadialGrid(nodes=np.array([-1.0, 0.5, 1.0]))
 
 
+def _tail_weight(model, r):
+    d = model.eval(r)
+    c = kedf.contractions(d, r)
+    return FOUR_PI * r * r * (kedf.tau0(d.rho) + kedf.tau2(d.rho, c.g2)
+                              + abs(kedf.tau4(c, d.rho)))
+
+
 @pytest.mark.parametrize("factory", [
     lambda: profiles.gaussian_density(1.0),
     lambda: profiles.exponential_density(1.0),
@@ -53,6 +61,28 @@ def test_tail_rule_bounds_thomas_fermi_weight(factory):
     grid = grid_for_density(model)
     r_max = grid.r_max
     assert FOUR_PI * r_max ** 2 * model.rho(r_max) ** (5.0 / 3.0) < 1e-12
+    # The rule itself: r_max is the first ladder radius at or below the
+    # tolerance, so the one before it is still above.
+    assert (_tail_weight(model, r_max) <= radial.TAIL_TOLERANCE
+            < _tail_weight(model, r_max / 1.25))
+
+
+def test_tail_rule_stops_at_the_support():
+    # exp(-r^2) still weighs far more than the tolerance at r = 3.
+    model = replace(profiles.gaussian_density(1.0), r_support=3.0)
+    assert _tail_weight(model, 3.0) > radial.TAIL_TOLERANCE
+    assert grid_for_density(model).r_max == 3.0
+
+
+def test_tail_rule_refuses_a_density_that_does_not_decay():
+    def profile(r):
+        r = np.asarray(r, dtype=float)
+        zero = np.zeros_like(r)
+        return np.stack([np.ones_like(r), zero, zero, zero, zero])
+
+    model = radial.DensityModel(profile=profile, electron_count=math.inf)
+    with pytest.raises(ValueError, match="tail rule did not terminate"):
+        grid_for_density(model)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +239,59 @@ def test_find_poles_rejects_non_finite_denominator():
         find_poles(lambda r: np.where(r > 1.0, math.inf, 1.0), grid)
 
 
+def _recording(denominator):
+    """denominator, plus the list of radii arrays it was called on."""
+    calls = []
+
+    def recorded(r):
+        calls.append(np.array(r, dtype=float, ndmin=1))
+        return denominator(r)
+
+    return recorded, calls
+
+
+def test_find_poles_bisects_every_bracket_in_one_call_per_step():
+    grid = RadialGrid.power_spaced(1e-4, 2.0, 400)
+    denominator, calls = _recording(lambda r: np.cos(8.0 * np.pi * r))
+    poles = find_poles(denominator, grid)
+    roots = (2.0 * np.arange(16) + 1.0) / 16.0
+    assert len(poles) == 16
+    np.testing.assert_allclose(poles, roots, rtol=0.0,
+                               atol=1e-12 * grid.r_max)
+    nodes = grid.positive_nodes
+    values = np.cos(8.0 * np.pi * nodes)
+    brackets = np.flatnonzero(values[:-1] * values[1:] < 0.0)
+    widest = np.max(nodes[brackets + 1] - nodes[brackets])
+    assert len(calls) <= 1 + math.ceil(
+        math.log2(widest / (1e-12 * grid.r_max)))
+    assert calls[1].size == 16
+
+
+def test_find_poles_closes_an_exact_zero_while_others_bisect():
+    grid = RadialGrid(np.array([0.0, 0.5, 1.5, 2.0, 3.0]))
+    denominator, calls = _recording(lambda r: (r - 1.0) * (r - 2.3))
+    poles = find_poles(denominator, grid)
+    assert poles[0] == 1.0
+    assert poles[1] == pytest.approx(2.3, abs=1e-12 * grid.r_max)
+    # One scan, then both midpoints (1.0 is an exact zero), then only the
+    # bracket around 2.3.
+    np.testing.assert_array_equal(calls[1], [1.0, 2.5])
+    assert all(c.size == 1 for c in calls[2:])
+
+
+@given(st.lists(st.floats(0.05, 1.95, exclude_min=True, exclude_max=True),
+                min_size=1, max_size=5, unique=True))
+def test_find_poles_finds_every_simple_root(roots):
+    roots = np.sort(roots)
+    assume(np.all(np.diff(roots) >= 0.05))
+    grid = RadialGrid.power_spaced(1e-4, 2.0, 400)
+    poles = find_poles(
+        lambda r: np.prod(np.subtract.outer(r, roots), axis=-1), grid)
+    assert len(poles) == roots.size
+    np.testing.assert_allclose(poles, roots, rtol=0.0,
+                               atol=1e-12 * grid.r_max)
+
+
 # ---------------------------------------------------------------------------
 # Principal value
 # ---------------------------------------------------------------------------
@@ -261,6 +344,14 @@ def test_pv_rejects_non_simple_pole():
         principal_value_integrate(
             _inverse_weight(lambda r: 1.0 / (r - 1.0) ** 3), [1.0],
             _pv_grid())
+
+
+def test_pv_names_the_pole_that_is_not_simple():
+    with pytest.raises(PrincipalValueError, match=r"r=1\.5 "):
+        principal_value_integrate(
+            _inverse_weight(
+                lambda r: 1.0 / ((r - 0.5) * (r - 1.5) ** 3)),
+            [0.5, 1.5], _pv_grid())
 
 
 def test_pv_handles_two_separated_poles():

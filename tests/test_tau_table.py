@@ -1,9 +1,9 @@
-"""The batched tau table against the scalar callbacks.
+"""The batched tau table against one radius at a time.
 
-Bisection evaluates the tau terms one radius at a time; the finiteness
-checks and pole scans read ``resum.tau_table``, which evaluates every
-grid node in one batch.  Both go through the same
-functions, so they must agree node by node.
+The finiteness checks and pole scans read ``resum.tau_table``, which
+evaluates every grid node in one batch; the same functions also take a
+single radius, as a float.  Both go through the same code, so they must
+agree node by node.
 """
 
 import numpy as np
