@@ -382,9 +382,15 @@ def find_poles(denominator: Callable, grid: RadialGrid,
     ``node_values`` when the caller already holds them, else one batched
     ``denominator(grid.positive_nodes)``.  Every bracket is then bisected
     at once: each step calls the denominator once, on the midpoints of
-    all brackets still wider than 1e-12 * r_max.  Only odd-order
-    (sign-changing) roots are seen, which is what the principal-value
-    machinery can handle anyway.
+    all brackets still wider than 1e-12 * r_max.  Each final bracket is
+    finished by one secant step through its two end values, clipped to
+    the bracket, which costs no further call and puts a simple root to
+    within rounding of the denominator; the window rule of
+    ``principal_value_integrate`` is first-order in the pole offset, so
+    a bracket midpoint would leave a relative error of order 1e-7 in
+    the principal value.  Only odd-order (sign-changing) roots are
+    seen, which is what the principal-value machinery can handle
+    anyway.
     """
 
     nodes = grid.positive_nodes
@@ -398,7 +404,9 @@ def find_poles(denominator: Callable, grid: RadialGrid,
     brackets = np.flatnonzero((left == 0.0) | (left * right < 0.0))
     a, fa = nodes[brackets], values[brackets]
     # A root on a left node closes its bracket there.
-    b = np.where(fa == 0.0, a, nodes[brackets + 1])
+    closed = fa == 0.0
+    b = np.where(closed, a, nodes[brackets + 1])
+    fb = np.where(closed, fa, values[brackets + 1])
     width_target = 1e-12 * grid.r_max
     while True:
         open_ = np.flatnonzero(b - a > width_target)
@@ -410,9 +418,13 @@ def find_poles(denominator: Callable, grid: RadialGrid,
         # An exact zero closes its bracket: both ends move to mid.
         to_b = left_half | (fm == 0.0)
         b[open_[to_b]] = mid[to_b]
+        fb[open_[to_b]] = fm[to_b]
         a[open_[~left_half]] = mid[~left_half]
         fa[open_[~left_half]] = fm[~left_half]
-    poles = (0.5 * (a + b)).tolist()
+    # The secant step; an exact zero or a flat pair keeps the midpoint.
+    flat = (fa == 0.0) | (fb == fa)
+    secant = a - fa * (b - a) / np.where(flat, 1.0, fb - fa)
+    poles = np.where(flat, 0.5 * (a + b), np.clip(secant, a, b)).tolist()
     if values[-1] == 0.0:
         poles.append(float(nodes[-1]))
     return sorted(poles)

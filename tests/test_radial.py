@@ -279,6 +279,15 @@ def test_find_poles_closes_an_exact_zero_while_others_bisect():
     assert all(c.size == 1 for c in calls[2:])
 
 
+def test_find_poles_secant_finish_reaches_the_float_limit():
+    # Bisection alone stops at a 1e-12 * r_max bracket; the secant step
+    # through its end values lands on the root itself.
+    grid = RadialGrid.power_spaced(1e-4, 2.0, 400)
+    poles = find_poles(lambda r: np.cos(8.0 * np.pi * r), grid)
+    roots = (2.0 * np.arange(16) + 1.0) / 16.0
+    np.testing.assert_allclose(poles, roots, rtol=1e-14, atol=0.0)
+
+
 @given(st.lists(st.floats(0.05, 1.95, exclude_min=True, exclude_max=True),
                 min_size=1, max_size=5, unique=True))
 def test_find_poles_finds_every_simple_root(roots):
@@ -315,6 +324,23 @@ def test_pv_with_regular_part():
     value = principal_value_integrate(
         _inverse_weight(lambda r: r / (r - 1.0)), [1.0], _pv_grid())
     assert value == pytest.approx(2.0, abs=1e-8)
+
+
+def test_pv_at_located_pole_matches_exponential_integral():
+    # PV int_0^2 e^-r / (r - r0) dr = e^-r0 (Ei(r0 - 2) - Ei(r0)), with
+    # the pole found from a denominator that is not linear in r.  The
+    # mirrored windows are first-order in the pole offset, so this only
+    # holds once the pole itself is exact.
+    from scipy.special import expi
+
+    r0 = 1.0 / math.sqrt(2.0)
+    grid = _pv_grid()
+    poles = find_poles(lambda r: np.exp(3.0 * r) - math.exp(3.0 * r0), grid)
+    assert len(poles) == 1
+    value = principal_value_integrate(
+        _inverse_weight(lambda r: np.exp(-r) / (r - r0)), poles, grid)
+    exact = math.exp(-r0) * (expi(-(2.0 - r0)) - expi(r0))
+    assert value == pytest.approx(exact, rel=1e-9)
 
 
 def test_pv_without_poles_equals_plain_quadrature():
