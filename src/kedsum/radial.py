@@ -454,7 +454,8 @@ def _window_integrals(f: Callable, poles: np.ndarray,
     error terms, so the ladder converges as h^2, h^4, ...  A ladder that
     does not settle flags a pole that is not simple, and the PV
     prescription does not apply.  Every ladder and every window node of
-    every pole is one batched call of f.
+    every pole is one batched call of f; a value that is not finite
+    raises ``QuadratureError`` naming the smallest such radius.
     """
 
     offsets = deltas[:, None] / np.array([1.0, 2.0, 4.0, 8.0, 16.0])
@@ -463,6 +464,13 @@ def _window_integrals(f: Callable, poles: np.ndarray,
     radii = poles[:, None] + np.concatenate((offsets, -offsets, t, -t),
                                             axis=1)
     values = _weighted(f, radii.ravel()).reshape(radii.shape)
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        i, j = np.unravel_index(np.argmin(np.where(bad, radii, np.inf)),
+                                radii.shape)
+        raise QuadratureError(
+            f"integrand is not finite at r={radii[i, j]:.12g} in the "
+            f"window of the pole at r={poles[i]:.8g} (got {values[i, j]})")
     above, below, plus, minus = np.split(
         values, [5, 10, 10 + _PV_GAUSS_NODES.size], axis=1)
 

@@ -380,6 +380,17 @@ def test_pv_names_the_pole_that_is_not_simple():
             [0.5, 1.5], _pv_grid())
 
 
+def test_pv_names_a_non_finite_window_value():
+    # NaN only inside the window: the plain segments never see it.
+    def numer(r):
+        return np.where(np.abs(r - 1.0) < 0.01, np.nan, 1.0 / (r - 1.0))
+
+    with pytest.raises(QuadratureError,
+                       match=r"not finite at r=0\.99\d* in the window of "
+                             r"the pole at r=1 "):
+        principal_value_integrate(_inverse_weight(numer), [1.0], _pv_grid())
+
+
 def test_pv_handles_two_separated_poles():
     # 4 pi r^2 f = (r - 1)/((r - 0.5)(r - 1.5)): PV over [0, 2] is 0 by
     # the symmetry r -> 2 - r.
