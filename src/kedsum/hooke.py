@@ -31,6 +31,7 @@ from functools import cache
 
 import numpy as np
 from scipy.interpolate import InterpolatedUnivariateSpline
+from scipy.linalg.lapack import dtbtrs
 from scipy.optimize import brentq
 
 from . import jets
@@ -183,9 +184,45 @@ def _series_start(s: np.ndarray, eps: float, omega: float,
     return s * (1.0 + s * (a2 + s * (b3 + s * (b4 + s * b5))))
 
 
+def _sweep(c: np.ndarray, start, direction: str, eps: float) -> np.ndarray:
+    """One Numerov sweep along ``c``, from its first two values ``start``.
+
+    The recurrence c[j+1] u[j+1] = (12 - 10 c[j]) u[j] - c[j-1] u[j-1]
+    is a lower-triangular system with two sub-diagonals whose first two
+    rows are the identity; LAPACK's ``dtbtrs`` solves it by forward
+    substitution, which is the recurrence itself, without pivoting.
+    """
+
+    ab = np.empty((3, c.size))  # LAPACK lower band storage
+    ab[0] = c
+    ab[0, :2] = 1.0
+    ab[1] = 10.0 * c - 12.0
+    ab[1, 0] = 0.0
+    ab[2] = c
+    rhs = np.zeros((c.size, 1))
+    rhs[:2, 0] = start
+    u, info = dtbtrs(ab, rhs, uplo="L")
+    if info != 0:
+        raise SolverError(f"{direction} Numerov sweep at eps={eps:g}: "
+                          f"dtbtrs returned info={info}")
+    u = u[:, 0]
+    if not np.all(np.isfinite(u)):
+        raise SolverError(f"{direction} Numerov sweep at eps={eps:g} "
+                          "overflowed; the grid reaches too far into "
+                          "the classically forbidden region")
+    return u
+
+
 def _numerov_sweeps(eps: float, omega: float, lam: float,
                     s: np.ndarray):
-    """Outward and inward Numerov solutions and the matching index."""
+    """Outward and inward Numerov solutions and the matching index.
+
+    The outward sweep starts from the small-s series at s[1] and s[2]
+    and runs to s[m+2]; the inward one starts from a decaying tail at
+    the last two nodes and runs down to s[m-2].  Each is one banded
+    triangular solve (``_sweep``), the inward one on the reversed grid.
+    """
+
     h = s[1] - s[0]
     n = s.size
     w = np.empty(n)
@@ -199,20 +236,12 @@ def _numerov_sweeps(eps: float, omega: float, lam: float,
     m = int(np.clip(turning / h, 0.15 * n, 0.70 * n))
 
     u_out = np.zeros(n)
-    u_out[1:3] = _series_start(s[1:3], eps, omega, lam)
-    for k in range(2, m + 2):
-        u_out[k + 1] = ((12.0 - 10.0 * c[k]) * u_out[k]
-                        - c[k - 1] * u_out[k - 1]) / c[k + 1]
-        if abs(u_out[k + 1]) > 1e280:
-            u_out[:k + 2] /= 1e280
+    u_out[1:m + 3] = _sweep(c[1:m + 3], _series_start(s[1:3], eps, omega,
+                                                      lam), "outward", eps)
+    tail = (1e-18,
+            1e-18 * math.exp(omega * (2.0 * s[-1] * h - h * h) / 4.0))
     u_in = np.zeros(n)
-    u_in[n - 1] = 1e-18
-    u_in[n - 2] = 1e-18 * math.exp(omega * (2.0 * s[-1] * h - h * h) / 4.0)
-    for k in range(n - 2, m - 2, -1):
-        u_in[k - 1] = ((12.0 - 10.0 * c[k]) * u_in[k]
-                       - c[k + 1] * u_in[k + 1]) / c[k - 1]
-        if abs(u_in[k - 1]) > 1e280:
-            u_in[k - 1:] /= 1e280
+    u_in[m - 2:] = _sweep(c[::-1][:n - m + 2], tail, "inward", eps)[::-1]
     return u_out, u_in, m, h
 
 

@@ -146,6 +146,40 @@ def test_reconstruction_is_discretization_independent(hooke_solution):
             baseline.density.rho(r), abs=1e-8)
 
 
+def _normalized_taut_u(omega, poly, s):
+    """u = s poly(s) exp(-omega s^2 / 4), scaled so int_0^inf u^2 = 1.
+
+    The norm comes from the Gaussian moments
+    int_0^inf s^k exp(-a s^2) ds = Gamma((k + 1)/2) / (2 a^((k + 1)/2)).
+    """
+
+    p = np.polynomial.Polynomial([0.0] + list(poly))
+    a = 0.5 * omega
+    norm = sum(coef * math.gamma(0.5 * (k + 1)) / (2.0 * a ** (0.5 * (k + 1)))
+               for k, coef in enumerate((p * p).coef))
+    return p(s) * np.exp(-0.25 * omega * s * s) / math.sqrt(norm)
+
+
+@pytest.mark.parametrize("omega,eps_rel,poly", [
+    # Taut, PRA 48, 3561 (1993): E = 1/2 at omega = 1/10 and E = 2 at
+    # omega = 1/2, less the centre-of-mass energy 3 omega / 2.
+    (0.1, 0.35, (1.0, 0.5, 0.05)),
+    (0.5, 1.25, (1.0, 0.5)),
+])
+def test_numerov_solve_reproduces_taut_closed_forms(omega, eps_rel, poly):
+    eps, s, u = hooke._solve_relative(omega, 1.0, 8001,
+                                      12.0 / math.sqrt(omega))
+    assert eps == pytest.approx(eps_rel, rel=1e-10)
+    exact = _normalized_taut_u(omega, poly, s)
+    assert np.max(np.abs(u - exact)) <= 1e-10 * np.max(np.abs(exact))
+
+
+def test_overflowing_sweep_names_itself():
+    # From s = 80 inward the decaying tail grows like exp(s^2 / 4).
+    with pytest.raises(hooke.SolverError, match="inward Numerov sweep"):
+        hooke.solve_general(hooke.HookeParams(1.0), s_max=80.0)
+
+
 def test_solver_error_when_eigenvalue_not_bracketed():
     with pytest.raises(hooke.SolverError):
         hooke.solve_general(hooke.HookeParams(1.0), s_max=0.5)
