@@ -256,13 +256,21 @@ def _gk21(f: Callable, lo: np.ndarray, hi: np.ndarray):
     Returns each interval's Kronrod estimate and its error estimate:
     the Gauss-Kronrod difference, scaled against the integrand's spread
     over the interval and floored at 50 ulps of the integral of |f|.
+    A value of f that is not finite raises ``QuadratureError`` naming
+    the smallest such radius.
     """
 
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    values = np.asarray(
-        f((center[:, None] + half[:, None] * GK21_NODES).ravel()),
-        dtype=float).reshape(lo.size, GK21_NODES.size)
+    radii = (center[:, None] + half[:, None] * GK21_NODES).ravel()
+    values = np.asarray(f(radii), dtype=float)
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        i = int(np.argmin(np.where(bad, radii, np.inf)))
+        raise QuadratureError(
+            f"integrand is not finite at r={radii[i]:.12g} "
+            f"(got {values[i]})")
+    values = values.reshape(lo.size, GK21_NODES.size)
     kronrod = values @ GK21_WEIGHTS
     gauss = values[:, 1::2] @ GAUSS10_WEIGHTS
     mean = 0.5 * kronrod
@@ -350,27 +358,14 @@ def _quad_segment(f: Callable, lo: float, hi: float) -> float:
     return value
 
 
-def integrate_radial(f: Callable, grid: RadialGrid,
-                     node_values: np.ndarray | None = None) -> float:
+def integrate_radial(f: Callable, grid: RadialGrid) -> float:
     """Adaptive estimate of ``4 pi int_0^rmax r^2 f(r) dr``.
 
-    f takes a 1-d array of radii.  Its values on the positive
-    grid nodes -- ``node_values`` when the caller already holds them,
-    else one batched ``f(grid.positive_nodes)`` -- are checked for
-    finiteness first, so a broken integrand fails loudly with the
-    offending radius instead of poisoning the quadrature.  ``quad``
-    then calls f on arrays of radii, one per refinement round.
+    f takes a 1-d array of radii; ``quad`` calls it once per refinement
+    round, and a value that is not finite raises ``QuadratureError``
+    naming the smallest such radius.
     """
 
-    nodes = grid.positive_nodes
-    values = f(nodes) if node_values is None else node_values
-    values = np.broadcast_to(np.asarray(values, dtype=float), nodes.shape)
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise QuadratureError(
-            f"integrand is not finite at node r={nodes[i]:.12g} "
-            f"(got {values[i]})")
     return _quad_segment(f, 0.0, grid.r_max)
 
 

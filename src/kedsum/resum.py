@@ -187,9 +187,9 @@ def tau_table(model: DensityModel, grid: RadialGrid) -> TauPoint:
     """tau0..tau6 on every positive grid node, from one batched density
     evaluation.
 
-    This (4, n) table is what every method's finiteness check and pole
-    scan reads; quadrature, bisection and the PV windows evaluate the
-    same functions on batches of their own radii.
+    This (4, n) table is what the Pade methods' pole scans read;
+    quadrature, bisection and the PV windows evaluate the same functions
+    on batches of their own radii.
     """
 
     nodes = grid.positive_nodes
@@ -219,15 +219,14 @@ def integrate_method(model: DensityModel, method: ResumMethod,
                      table: TauPoint | None = None) -> KineticReport:
     """Total kinetic energy of one method over one density.
 
-    ``table`` is the density's ``tau_table`` on this grid, built here
-    when not given.  Pade methods first scan it for sign changes of
-    their denominator; any poles found switch the integral over to the
-    principal-value route and are recorded in the report.
+    Pade methods first scan ``table``, the density's ``tau_table`` on
+    this grid (built when not given), for sign changes of their
+    denominator; any poles found switch the integral over to the
+    principal-value route and are recorded in the report.  Partial sums
+    never read the table: ``quad`` checks every value it integrates.
     """
 
     evaluate = EVALUATORS[method]
-    if table is None:
-        table = tau_table(model, grid)
 
     def integrand(r):
         return evaluate(tau_point(model.eval(r), r))
@@ -236,7 +235,7 @@ def integrate_method(model: DensityModel, method: ResumMethod,
     if poles:
         value = principal_value_integrate(integrand, poles, grid)
     else:
-        value = integrate_radial(integrand, grid, evaluate(table))
+        value = integrate_radial(integrand, grid)
     return KineticReport(method=method, T=value, t_ref=t_ref,
                          poles=tuple(poles))
 

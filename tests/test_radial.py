@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -120,6 +121,38 @@ def test_integrate_radial_is_linear(a, b):
     combined = integrate_radial(lambda r: a * f(r) + b * g(r), grid)
     split = a * integrate_radial(f, grid) + b * integrate_radial(g, grid)
     assert combined == pytest.approx(split, rel=1e-9, abs=1e-12)
+
+
+def test_integrate_radial_never_evaluates_the_grid_nodes():
+    # Every call is a quadrature round: 21 nodes per interval.
+    sizes = []
+
+    def integrand(r):
+        sizes.append(r.size)
+        return np.exp(-r)
+
+    integrate_radial(integrand, _pv_grid())
+    assert sizes
+    assert all(size % 21 == 0 for size in sizes)
+
+
+def _nan_band(numer):
+    """``_inverse_weight(numer)``, but NaN for 1.2 < r < 1.4."""
+    return _inverse_weight(
+        lambda r: np.where((r > 1.2) & (r < 1.4), np.nan, numer(r)))
+
+
+@pytest.mark.parametrize("integral", [
+    lambda: integrate_radial(_nan_band(np.exp), _pv_grid()),
+    lambda: principal_value_integrate(
+        _nan_band(lambda r: np.exp(-r) / (r - 0.5)), [0.5], _pv_grid()),
+], ids=["plain", "principal-value"])
+def test_quadrature_names_a_non_finite_value(integral):
+    with pytest.raises(QuadratureError,
+                       match=r"not finite at r=\S+ \(got nan\)") as caught:
+        integral()
+    radius = float(re.search(r"r=(\S+)", str(caught.value)).group(1))
+    assert 1.2 < radius < 1.4
 
 
 # ---------------------------------------------------------------------------

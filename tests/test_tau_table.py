@@ -1,6 +1,6 @@
 """The batched tau table against one radius at a time.
 
-The finiteness checks and pole scans read ``resum.tau_table``, which
+The Pade pole scans read ``resum.tau_table``, which
 evaluates every grid node in one batch; the same functions also take a
 single radius, as a float.  Both go through the same code, so they must
 agree node by node.
