@@ -286,14 +286,18 @@ def _gk21(f: Callable, lo: np.ndarray, hi: np.ndarray):
     return kronrod * half, error
 
 
-def quad(f: Callable, a: float, b: float):
+def quad(f: Callable, a, b):
     """Globally adaptive Gauss-Kronrod 10/21 estimate of int_a^b f.
 
-    f takes a 1-d array of radii and returns an array of values; the
-    endpoints are never evaluated.  Each round evaluates the 21 nodes of
-    every interval that still needs work in one call of f, then bisects
-    the intervals with the largest error estimates, as many as it takes
-    for their errors to cover the excess over the tolerance
+    a and b are floats, or equal-length arrays of interval ends whose
+    integrals are summed; either way every interval starts in one
+    interval list, refined under one tolerance.  f takes a 1-d array of
+    radii and returns an array of values; the endpoints are never
+    evaluated, and a value that is not finite raises
+    ``QuadratureError``.  Each round evaluates the 21 nodes of every
+    interval that still needs work in one call of f, then bisects the
+    intervals with the largest error estimates, as many as it takes for
+    their errors to cover the excess over the tolerance
     max(QUAD_ABSTOL, QUAD_RELTOL |value|), and at most QUAD_LIMIT
     intervals in all.
 
@@ -304,7 +308,8 @@ def quad(f: Callable, a: float, b: float):
     """
 
     lo = hi = values = errors = np.empty(0)
-    new_lo, new_hi = np.array([a], dtype=float), np.array([b], dtype=float)
+    new_lo, new_hi = (np.array(a, dtype=float, ndmin=1),
+                      np.array(b, dtype=float, ndmin=1))
     neval, status = 0, 0
     while True:
         new_values, new_errors = _gk21(f, new_lo, new_hi)
@@ -338,12 +343,13 @@ def quad(f: Callable, a: float, b: float):
     return value, abserr, {"neval": neval, "status": status}
 
 
-def _quad_segment(f: Callable, lo: float, hi: float) -> float:
+def _quad_segment(f: Callable, lo, hi) -> float:
     """``quad`` on ``4 pi r^2 f`` over [lo, hi], f called on arrays.
 
-    Status 2 (an interval too small to bisect) is accepted when the
-    error estimate is already tiny against the value; any other failure
-    raises with the best estimate attached.
+    lo and hi are floats, or arrays of interval ends integrated as one
+    interval list.  Status 2 (an interval too small to bisect) is
+    accepted when the error estimate is already tiny against the value;
+    any other failure raises with the best estimate attached.
     """
 
     value, abserr, info = quad(lambda r: _weighted(f, r), lo, hi)
@@ -351,8 +357,8 @@ def _quad_segment(f: Callable, lo: float, hi: float) -> float:
     if status and not (status == 2 and abserr <= 1e-9 * max(abs(value),
                                                              1.0)):
         raise QuadratureError(
-            f"quadrature on [{lo:g}, {hi:g}] did not converge "
-            f"(status {status}, estimate {value:.12g}, "
+            f"quadrature on [{np.min(lo):g}, {np.max(hi):g}] did not "
+            f"converge (status {status}, estimate {value:.12g}, "
             f"error {abserr:.3g})",
             best_estimate=value, achieved_error=abserr)
     return value
@@ -500,10 +506,11 @@ def principal_value_integrate(f: Callable,
 
     With no poles this is exactly ``integrate_radial``.  Otherwise the
     domain is split into plain segments plus a symmetric window around
-    each pole; the windows use pole subtraction and their residue
-    ladders double as a simple-pole sanity check (see
-    _window_integrals).  f takes an array of radii, as for
-    ``integrate_radial``.
+    each pole.  All plain segments are one ``quad`` call, refined from
+    one interval list under one tolerance; the windows use pole
+    subtraction and their residue ladders double as a simple-pole
+    sanity check (see _window_integrals).  f takes an array of radii,
+    as for ``integrate_radial``.
     """
 
     poles = np.sort(np.asarray(poles, dtype=float))
@@ -524,16 +531,11 @@ def principal_value_integrate(f: Callable,
 
     deltas = _pole_windows(poles, r_max)
     windows = _window_integrals(f, poles, deltas)
-    total = 0.0
-    cursor = 0.0
-    for pole, delta, window in zip(poles, deltas, windows):
-        if pole - delta > cursor:
-            total += _quad_segment(f, cursor, pole - delta)
-        total += window
-        cursor = pole + delta
-    if cursor < r_max:
-        total += _quad_segment(f, cursor, r_max)
-    return float(total)
+    # The plain segments between windows; two windows may touch.
+    lo = np.concatenate(([0.0], poles + deltas))
+    hi = np.concatenate((poles - deltas, [r_max]))
+    plain = lo < hi
+    return _quad_segment(f, lo[plain], hi[plain]) + float(np.sum(windows))
 
 
 def load_density_table(path) -> tuple[np.ndarray, np.ndarray]:

@@ -176,12 +176,18 @@ def test_kronrod_rule_is_exact_through_degree_31():
 
 
 def _quadpack(f, a, b):
-    """scipy's QUADPACK under radial.quad's contract, as a reference."""
-    value, abserr, info = scipy.integrate.quad(
-        lambda r: float(f(np.array([r]))[0]), a, b,
-        epsabs=radial.QUAD_ABSTOL, epsrel=radial.QUAD_RELTOL,
-        limit=radial.QUAD_LIMIT, full_output=True)[:3]
-    return value, abserr, {"neval": info["neval"], "status": 0}
+    """scipy's QUADPACK under radial.quad's contract, as a reference:
+    one QUADPACK integral per interval [a_i, b_i], summed."""
+    value = abserr = 0.0
+    neval = 0
+    for lo, hi in zip(np.atleast_1d(a), np.atleast_1d(b)):
+        part, error, info = scipy.integrate.quad(
+            lambda r: float(f(np.array([r]))[0]), lo, hi,
+            epsabs=radial.QUAD_ABSTOL, epsrel=radial.QUAD_RELTOL,
+            limit=radial.QUAD_LIMIT, full_output=True)[:3]
+        value, abserr, neval = value + part, abserr + error, \
+            neval + info["neval"]
+    return value, abserr, {"neval": neval, "status": 0}
 
 
 def _helium_count():
@@ -227,23 +233,25 @@ def test_quad_never_evaluates_the_endpoints():
 
 
 def test_quad_counts_21_nodes_per_interval_in_one_call_per_round():
-    sizes = []
-
-    def integrand(r):
-        sizes.append(r.size)
-        return 1.0 / (1e-3 + (r - 0.3) ** 2)
-
-    value, abserr, info = radial.quad(integrand, 0.0, 1.0)
     exact = (math.atan(0.7 / math.sqrt(1e-3))
              + math.atan(0.3 / math.sqrt(1e-3))) / math.sqrt(1e-3)
-    assert value == pytest.approx(exact, rel=1e-10)
-    assert abserr <= radial.QUAD_RELTOL * abs(value)
-    # One call per round: the first interval, then both halves of every
-    # interval the round bisects.
-    assert len(sizes) > 2
-    assert sizes[0] == 21
-    assert all(size % 42 == 0 for size in sizes[1:])
-    assert info["neval"] == sum(sizes)
+    # One interval, and the same integral as an array of two.
+    for a, b in [(0.0, 1.0), ([0.0, 0.5], [0.5, 1.0])]:
+        sizes = []
+
+        def integrand(r):
+            sizes.append(r.size)
+            return 1.0 / (1e-3 + (r - 0.3) ** 2)
+
+        value, abserr, info = radial.quad(integrand, a, b)
+        assert value == pytest.approx(exact, rel=1e-10)
+        assert abserr <= radial.QUAD_RELTOL * abs(value)
+        # One call per round: the starting intervals, then both halves
+        # of every interval the round bisects.
+        assert len(sizes) > 2
+        assert sizes[0] == 21 * np.size(a)
+        assert all(size % 42 == 0 for size in sizes[1:])
+        assert info["neval"] == sum(sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -424,15 +432,21 @@ def test_pv_names_a_non_finite_window_value():
         principal_value_integrate(_inverse_weight(numer), [1.0], _pv_grid())
 
 
-def test_pv_handles_two_separated_poles():
+def test_pv_handles_two_separated_poles(monkeypatch):
     # 4 pi r^2 f = (r - 1)/((r - 0.5)(r - 1.5)): PV over [0, 2] is 0 by
     # the symmetry r -> 2 - r.
     def numer(r):
         return (r - 1.0) / ((r - 0.5) * (r - 1.5))
 
+    # All three plain segments are one interval list: one quad call.
+    calls = []
+    quad = radial.quad
+    monkeypatch.setattr(radial, "quad",
+                        lambda *args: calls.append(args) or quad(*args))
     value = principal_value_integrate(
         _inverse_weight(numer), [0.5, 1.5], _pv_grid())
     assert abs(value) < 1e-8
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
