@@ -546,21 +546,22 @@ def load_density_table(path) -> tuple[np.ndarray, np.ndarray]:
     ``rho`` columns -- a CSV, which is what the dump command writes, so
     its output can be fed straight back in, or whitespace-separated when
     the header has no comma.  The first line that is not a comment is a
-    header when one of its fields is not a number.
+    header when one of its fields is not a number.  A table with no
+    sample row (empty, only comments, or only a header) is rejected.
     """
 
     with open(path, "r", encoding="utf-8") as fh:
-        first = ""
-        for header_end, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line and not line.startswith("#"):
-                first = line
-                break
+        rows = [(n, line.strip()) for n, line in enumerate(fh, start=1)]
+    rows = [(n, line) for n, line in rows
+            if line and not line.startswith("#")]
+    header_end, first = rows[0] if rows else (0, "")
     try:
         np.array(first.replace(",", " ").split(), dtype=float)
         header = False
     except ValueError:
         header = True
+    if len(rows) == int(header):
+        raise ValueError(f"{path}: density table has no samples")
     if header:
         # A header without commas names whitespace-separated columns.
         delimiter = "," if "," in first else None

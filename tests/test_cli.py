@@ -180,6 +180,13 @@ def test_bad_table_exits_3(runner, tmp_path):
     assert result.exit_code == 3
     assert "two columns" in result.output
 
+    header_only = tmp_path / "header.csv"
+    header_only.write_text("r,rho\n", encoding="utf-8")
+    result = runner.invoke(
+        main, ["dump", "--table", str(header_only), "--csv", str(out)])
+    assert result.exit_code == 3
+    assert "no samples" in result.output
+
 
 def test_solver_failure_exits_4(runner, monkeypatch):
     def explode(params, **kwargs):

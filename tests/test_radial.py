@@ -566,3 +566,10 @@ def test_load_density_table_bad_inputs(tmp_path):
     threecol.write_text("0.1 1.0 9\n0.2 0.9 9\n")
     with pytest.raises(ValueError, match="two columns"):
         load_density_table(threecol)
+    for name, text in [("empty.txt", ""),
+                       ("comments.txt", "# r rho\n\n# nothing yet\n"),
+                       ("header.csv", "# dump\nr,rho,tau0\n# end\n")]:
+        empty = tmp_path / name
+        empty.write_text(text)
+        with pytest.raises(ValueError, match="no samples"):
+            load_density_table(empty)
