@@ -185,8 +185,9 @@ def _quadpack(f, a, b):
             lambda r: float(f(np.array([r]))[0]), lo, hi,
             epsabs=radial.QUAD_ABSTOL, epsrel=radial.QUAD_RELTOL,
             limit=radial.QUAD_LIMIT, full_output=True)[:3]
-        value, abserr, neval = value + part, abserr + error, \
-            neval + info["neval"]
+        value += part
+        abserr += error
+        neval += info["neval"]
     return value, abserr, {"neval": neval, "status": 0}
 
 
