@@ -30,9 +30,6 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.interpolate import InterpolatedUnivariateSpline
-from scipy.linalg.lapack import dtbtrs
-from scipy.optimize import brentq
 
 from . import jets
 from .radial import (DensityModel, RadialGrid, grid_for_density,
@@ -193,6 +190,8 @@ def _sweep(c: np.ndarray, start, direction: str, eps: float) -> np.ndarray:
     substitution, which is the recurrence itself, without pivoting.
     """
 
+    from scipy.linalg.lapack import dtbtrs
+
     ab = np.empty((3, c.size))  # LAPACK lower band storage
     ab[0] = c
     ab[0, :2] = 1.0
@@ -280,6 +279,8 @@ def _wronskian(eps: float, omega: float, lam: float, s: np.ndarray) -> float:
 def _solve_relative(omega: float, lam: float, n_points: int,
                     s_max: float):
     """Ground-state eigenvalue and normalized u(s) on a uniform grid."""
+    from scipy.optimize import brentq
+
     s = np.linspace(0.0, s_max, n_points)
     lo = 1.45 * omega
     hi = 1.5 * omega + 4.0 * math.sqrt(omega) + 4.0
@@ -347,6 +348,8 @@ def _gauss_panels(s_max: float, n_panels: int, order: int):
 def _reconstruct_density(omega: float, s: np.ndarray, u: np.ndarray,
                          label: str, quad_panels: int = 72,
                          panel_order: int = 12) -> DensityModel:
+    from scipy.interpolate import InterpolatedUnivariateSpline
+
     c = 2.0 * omega
     sqrt_c = math.sqrt(c)
     pref = (2.0 * omega / math.pi) ** 1.5 / (2.0 * omega)

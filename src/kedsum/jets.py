@@ -15,7 +15,6 @@ a jet can hold one point (shape ``(5,)``) or a batch (shape ``(5, n)``).
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erf
 
 ORDERS = 5  # value plus four derivatives
 
@@ -138,6 +137,8 @@ def exponential(r, zeta: float) -> np.ndarray:
 
 def erf_scaled(r, beta: float) -> np.ndarray:
     """erf(beta r); derivatives are Gaussian-Hermite terms."""
+    from scipy.special import erf
+
     r = np.asarray(r, dtype=float)
     x = beta * r
     base = np.exp(-x * x)

@@ -7,14 +7,19 @@ the only geometry is the radial half-line.  This module owns:
   together with its first four radial derivatives,
 * ``RadialGrid`` -- scan nodes plus the integration cutoff,
 * ``integrate_radial`` -- adaptive quadrature of ``4 pi r^2 f(r)``,
-* ``find_poles`` / ``principal_value_integrate`` -- Cauchy principal
-  values across simple poles of resummed integrands,
+* ``find_poles`` -- sign changes of a denominator, narrowed by
+  vectorised Illinois steps and finished by a secant step,
+* ``principal_value_integrate`` -- Cauchy principal values across simple
+  poles of resummed integrands: symmetric windows around the poles, and
+  the plain segments between them with every pole's A/(r - r*) tail
+  subtracted and added back in closed form,
 * ``tabulated_derivatives`` -- densities interpolated through
   ``(r, rho)`` samples by a quintic spline in ``log rho``.
 
 Quadrature is a globally adaptive Gauss-Kronrod 10/21 rule in numpy
 (``quad``) that evaluates each refinement round as one batch of radii;
-splines are FITPACK's.  Both sit behind the interfaces above so callers
+splines are FITPACK's, and ``tabulated_derivatives`` is the only place
+that imports scipy.  Both sit behind the interfaces above so callers
 never touch scipy directly.
 """
 
@@ -25,7 +30,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import splev, splrep
 
 FOUR_PI = 4.0 * math.pi
 
@@ -343,16 +347,18 @@ def quad(f: Callable, a, b):
     return value, abserr, {"neval": neval, "status": status}
 
 
-def _quad_segment(f: Callable, lo, hi) -> float:
-    """``quad`` on ``4 pi r^2 f`` over [lo, hi], f called on arrays.
+def _quad_segment(g: Callable, lo, hi) -> float:
+    """``quad`` on the weighted integrand g over [lo, hi].
 
-    lo and hi are floats, or arrays of interval ends integrated as one
-    interval list.  Status 2 (an interval too small to bisect) is
-    accepted when the error estimate is already tiny against the value;
-    any other failure raises with the best estimate attached.
+    g is already the full integrand, the 4 pi r^2 measure included, and
+    takes arrays of radii.  lo and hi are floats, or arrays of interval
+    ends integrated as one interval list.  Status 2 (an interval too
+    small to bisect) is accepted when the error estimate is already tiny
+    against the value; any other failure raises with the best estimate
+    attached.
     """
 
-    value, abserr, info = quad(lambda r: _weighted(f, r), lo, hi)
+    value, abserr, info = quad(g, lo, hi)
     status = info["status"]
     if status and not (status == 2 and abserr <= 1e-9 * max(abs(value),
                                                              1.0)):
@@ -372,7 +378,7 @@ def integrate_radial(f: Callable, grid: RadialGrid) -> float:
     naming the smallest such radius.
     """
 
-    return _quad_segment(f, 0.0, grid.r_max)
+    return _quad_segment(lambda r: _weighted(f, r), 0.0, grid.r_max)
 
 
 def find_poles(denominator: Callable, grid: RadialGrid,
@@ -381,11 +387,19 @@ def find_poles(denominator: Callable, grid: RadialGrid,
 
     The scan reads the denominator on the positive grid nodes:
     ``node_values`` when the caller already holds them, else one batched
-    ``denominator(grid.positive_nodes)``.  Every bracket is then bisected
-    at once: each step calls the denominator once, on the midpoints of
-    all brackets still wider than 1e-12 * r_max.  Each final bracket is
-    finished by one secant step through its two end values, clipped to
-    the bracket, which costs no further call and puts a simple root to
+    ``denominator(grid.positive_nodes)``.  Every bracket is then narrowed
+    at once by Illinois steps (Dowell and Jarratt, 1971): regula falsi
+    that halves the stored value of an end kept twice in a row, so both
+    ends close in superlinearly.  Each step calls the denominator once,
+    on one point in every bracket still wider than 1e-12 * r_max.  The
+    sign test reads the true end values and only the falsi point the
+    halved copies; the point stays half that width inside the bracket,
+    so an end already on the root still lets the other one close in.  A
+    bracket that is not at most half as wide as three steps before is
+    bisected instead, so every bracket at least halves in four steps.
+    An exact zero closes its bracket.  Each final bracket is finished by
+    one secant step through its two true end values, clipped to the
+    bracket, which costs no further call and puts a simple root to
     within rounding of the denominator; the window rule of
     ``principal_value_integrate`` is first-order in the pole offset, so
     a bracket midpoint would leave a relative error of order 1e-7 in
@@ -408,20 +422,36 @@ def find_poles(denominator: Callable, grid: RadialGrid,
     closed = fa == 0.0
     b = np.where(closed, a, nodes[brackets + 1])
     fb = np.where(closed, fa, values[brackets + 1])
+    # The end values the falsi point reads, halved where an end is kept
+    # twice in a row; kept is +1 where the last step kept a, -1 for b.
+    ga, gb = fa.copy(), fb.copy()
+    kept = np.zeros(a.size)
+    # Each bracket's width before each of the last three steps.
+    widths = np.full((3, a.size), np.inf)
     width_target = 1e-12 * grid.r_max
+    margin = 0.5 * width_target
     while True:
         open_ = np.flatnonzero(b - a > width_target)
         if open_.size == 0:
             break
-        mid = 0.5 * (a[open_] + b[open_])
-        fm = denominator(mid)
-        left_half = fa[open_] * fm < 0.0
-        # An exact zero closes its bracket: both ends move to mid.
-        to_b = left_half | (fm == 0.0)
-        b[open_[to_b]] = mid[to_b]
-        fb[open_[to_b]] = fm[to_b]
-        a[open_[~left_half]] = mid[~left_half]
-        fa[open_[~left_half]] = fm[~left_half]
+        lo, hi = a[open_], b[open_]
+        width = hi - lo
+        falsi = hi - gb[open_] * width / (gb[open_] - ga[open_])
+        x = np.where(width > 0.5 * widths[0, open_], 0.5 * (lo + hi),
+                     np.clip(falsi, lo + margin, hi - margin))
+        widths[:, open_] = np.vstack((widths[1:, open_], width))
+        fx = denominator(x)
+        left_half = fa[open_] * fx < 0.0
+        # An exact zero closes its bracket: both ends move to x.
+        to_b = left_half | (fx == 0.0)
+        to_a = ~left_half
+        ga[open_[to_b & (kept[open_] > 0.0)]] *= 0.5
+        gb[open_[to_a & (kept[open_] < 0.0)]] *= 0.5
+        b[open_[to_b]] = x[to_b]
+        fb[open_[to_b]] = gb[open_[to_b]] = fx[to_b]
+        a[open_[to_a]] = x[to_a]
+        fa[open_[to_a]] = ga[open_[to_a]] = fx[to_a]
+        kept[open_] = np.where(to_b, 1.0, -1.0)
     # The secant step; an exact zero or a flat pair keeps the midpoint.
     flat = (fa == 0.0) | (fb == fa)
     secant = a - fa * (b - a) / np.where(flat, 1.0, fb - fa)
@@ -441,8 +471,9 @@ def _pole_windows(poles: np.ndarray, r_max: float) -> np.ndarray:
 
 
 def _window_integrals(f: Callable, poles: np.ndarray,
-                      deltas: np.ndarray) -> np.ndarray:
-    """Integral of g - A/(r - r*), g = 4 pi r^2 f, over every window.
+                      deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integral of g - A/(r - r*), g = 4 pi r^2 f, over every window,
+    and every residue A.
 
     Each window is evaluated as int_0^delta [g(r*+t) + g(r*-t)] dt:
     mirrored nodes make the subtracted 1/(r - r*) term cancel pairwise,
@@ -451,16 +482,20 @@ def _window_integrals(f: Callable, poles: np.ndarray,
     rule suffices.
 
     The residue A = lim (r - r*) g(r) is estimated alongside by
-    two-sided Richardson steps.  The symmetric average kills the odd
-    error terms, so the ladder converges as h^2, h^4, ...  A ladder that
-    does not settle flags a pole that is not simple, and the PV
-    prescription does not apply.  Every ladder and every window node of
+    two-sided Richardson steps, and returned for the plain segments.
+    The symmetric average kills the odd error terms, so the ladder
+    converges as h^2, h^4, ...  A ladder that does not settle flags a
+    pole that is not simple, and the PV prescription does not apply.  Every ladder and every window node of
     every pole is one batched call of f; a value that is not finite
     raises ``QuadratureError`` naming the smallest such radius.
     """
 
     offsets = deltas[:, None] / np.array([1.0, 2.0, 4.0, 8.0, 16.0])
     t = 0.5 * deltas[:, None] * (_PV_GAUSS_NODES + 1.0)
+    # Offsets that r* + t represents exactly, so r* - t mirrors it; a
+    # pole near a power of two otherwise rounds its two sides apart.
+    offsets = (poles[:, None] + offsets) - poles[:, None]
+    t = (poles[:, None] + t) - poles[:, None]
     w = 0.5 * deltas[:, None] * _PV_GAUSS_WEIGHTS
     radii = poles[:, None] + np.concatenate((offsets, -offsets, t, -t),
                                             axis=1)
@@ -496,7 +531,8 @@ def _window_integrals(f: Callable, poles: np.ndarray,
             f"(ladder {averages[i].tolist()} -> {best[i]:.6g}); "
             "pole does not look simple")
     # np.dot window by window: einsum and sum would round differently.
-    return np.array([np.dot(wi, fi) for wi, fi in zip(w, plus + minus)])
+    windows = np.array([np.dot(wi, fi) for wi, fi in zip(w, plus + minus)])
+    return windows, best
 
 
 def principal_value_integrate(f: Callable,
@@ -506,11 +542,16 @@ def principal_value_integrate(f: Callable,
 
     With no poles this is exactly ``integrate_radial``.  Otherwise the
     domain is split into plain segments plus a symmetric window around
-    each pole.  All plain segments are one ``quad`` call, refined from
-    one interval list under one tolerance; the windows use pole
-    subtraction and their residue ladders double as a simple-pole
-    sanity check (see _window_integrals).  f takes an array of radii,
-    as for ``integrate_radial``.
+    each pole.  The windows use pole subtraction, and their residue
+    ladders double as a simple-pole sanity check (see
+    _window_integrals).  The plain segments are one ``quad`` call,
+    refined from one interval list under one tolerance, on
+    g - sum_k A_k/(r - r_k): with every pole's A_k/(r - r_k) tail taken
+    off, the integrand left between the windows is smooth.  The tails
+    are added back in closed form, A_k ln|(hi - r_k)/(lo - r_k)| for
+    every plain segment [lo, hi], so the other poles' windows are left
+    out of each pole's logarithm.  f takes an array of radii, as for
+    ``integrate_radial``.
     """
 
     poles = np.sort(np.asarray(poles, dtype=float))
@@ -530,12 +571,21 @@ def principal_value_integrate(f: Callable,
                 "to separate with symmetric windows")
 
     deltas = _pole_windows(poles, r_max)
-    windows = _window_integrals(f, poles, deltas)
+    windows, residues = _window_integrals(f, poles, deltas)
     # The plain segments between windows; two windows may touch.
     lo = np.concatenate(([0.0], poles + deltas))
     hi = np.concatenate((poles - deltas, [r_max]))
     plain = lo < hi
-    return _quad_segment(f, lo[plain], hi[plain]) + float(np.sum(windows))
+    lo, hi = lo[plain], hi[plain]
+
+    def smooth(r):
+        return (_weighted(f, r)
+                - (1.0 / np.subtract.outer(r, poles)) @ residues)
+
+    tails = np.log(np.abs(np.subtract.outer(hi, poles)
+                          / np.subtract.outer(lo, poles))).sum(axis=0)
+    return (_quad_segment(smooth, lo, hi) + float(residues @ tails)
+            + float(np.sum(windows)))
 
 
 def load_density_table(path) -> tuple[np.ndarray, np.ndarray]:
@@ -617,6 +667,8 @@ def tabulated_derivatives(r: np.ndarray, rho: np.ndarray,
         raise ValueError(
             f"zero density sample at r={bad:.8g}; log-space fit needs "
             "strictly positive samples")
+
+    from scipy.interpolate import splev, splrep
 
     # One knot vector and coefficient array serve all five derivatives.
     tck = splrep(r, np.log(rho), k=5, s=0)

@@ -242,8 +242,13 @@ def integrate_method(model: DensityModel, method: ResumMethod,
 
 def run_methods(model: DensityModel, methods, grid: RadialGrid,
                 t_ref: float) -> list[KineticReport]:
-    """Integrate several methods against one reference and one table."""
-    table = tau_table(model, grid)
+    """Integrate several methods against one reference.
+
+    The Pade methods share one tau table, built only when one of them
+    is asked for.
+    """
+    table = (tau_table(model, grid)
+             if any(m in _DENOMINATORS for m in methods) else None)
     return [integrate_method(model, m, grid, t_ref=t_ref, table=table)
             for m in methods]
 

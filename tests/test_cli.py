@@ -354,10 +354,17 @@ def _python(args, cwd):
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
-    done = _python(["-c", "import sys, kedsum.cli; "
-                    "print('scipy.integrate' in sys.modules)"], tmp_path)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    # No scipy module at all: not on import, and not through an atom
+    # row, which needs neither the Hooke solver nor a spline.
+    loaded = ("print(sorted(m for m in sys.modules "
+              "if m.startswith('scipy')))")
+    for run in ["", "kedsum.cli.main(['atom', '--basis', 'ar'], "
+                    "standalone_mode=False); "]:
+        done = _python(["-c", f"import sys, kedsum.cli; {run}{loaded}"],
+                       tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]", done.stdout
+    assert done.stdout.startswith("element")
 
 
 def test_make_tables_help_writes_nothing(tmp_path):

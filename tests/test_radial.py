@@ -292,7 +292,7 @@ def _recording(denominator):
     return recorded, calls
 
 
-def test_find_poles_bisects_every_bracket_in_one_call_per_step():
+def test_find_poles_steps_every_bracket_in_one_call_per_step():
     grid = RadialGrid.power_spaced(1e-4, 2.0, 400)
     denominator, calls = _recording(lambda r: np.cos(8.0 * np.pi * r))
     poles = find_poles(denominator, grid)
@@ -300,30 +300,45 @@ def test_find_poles_bisects_every_bracket_in_one_call_per_step():
     assert len(poles) == 16
     np.testing.assert_allclose(poles, roots, rtol=0.0,
                                atol=1e-12 * grid.r_max)
-    nodes = grid.positive_nodes
-    values = np.cos(8.0 * np.pi * nodes)
-    brackets = np.flatnonzero(values[:-1] * values[1:] < 0.0)
-    widest = np.max(nodes[brackets + 1] - nodes[brackets])
-    assert len(calls) <= 1 + math.ceil(
-        math.log2(widest / (1e-12 * grid.r_max)))
     assert calls[1].size == 16
+    # The scan and at most nine Illinois steps; bisecting the widest
+    # bracket down to 1e-12 * r_max takes 34.
+    assert len(calls) <= 10
+
+
+def test_find_poles_bisects_a_bracket_that_stops_halving():
+    # exp(6e4 (r - 1)) - 1 spans e^300 across its bracket: each Illinois
+    # halving moves the far end too little, so the bisection steps do
+    # the narrowing.  Without them this takes more than 200 steps.
+    grid = RadialGrid.power_spaced(1e-4, 2.0, 400)
+    denominator, calls = _recording(
+        lambda r: np.expm1(np.minimum(6e4 * (r - 1.0), 300.0)))
+    assert find_poles(denominator, grid) == pytest.approx(
+        [1.0], rel=0.0, abs=1e-12 * grid.r_max)
+    # The bracket is under 2^36 stopping widths wide and halves at least
+    # every four steps.
+    assert len(calls) <= 1 + 4 * 36
 
 
 def test_find_poles_closes_an_exact_zero_while_others_bisect():
+    # Linear below r = 1.84, so the first falsi point of [0.5, 1.5] is
+    # the root at 1.0 itself; the root at 2.3 is not reached in one step.
     grid = RadialGrid(np.array([0.0, 0.5, 1.5, 2.0, 3.0]))
-    denominator, calls = _recording(lambda r: (r - 1.0) * (r - 2.3))
+    denominator, calls = _recording(
+        lambda r: np.minimum(r - 1.0, (2.3 - r) * r))
     poles = find_poles(denominator, grid)
     assert poles[0] == 1.0
     assert poles[1] == pytest.approx(2.3, abs=1e-12 * grid.r_max)
-    # One scan, then both midpoints (1.0 is an exact zero), then only the
-    # bracket around 2.3.
-    np.testing.assert_array_equal(calls[1], [1.0, 2.5])
+    # One scan, then one step on both brackets (1.0 is an exact zero),
+    # then only the bracket around 2.3.
+    assert calls[1].size == 2 and calls[1][0] == 1.0
+    assert len(calls) > 2
     assert all(c.size == 1 for c in calls[2:])
 
 
 def test_find_poles_secant_finish_reaches_the_float_limit():
-    # Bisection alone stops at a 1e-12 * r_max bracket; the secant step
-    # through its end values lands on the root itself.
+    # The steps stop at a 1e-12 * r_max bracket; the secant step through
+    # its end values lands on the root itself.
     grid = RadialGrid.power_spaced(1e-4, 2.0, 400)
     poles = find_poles(lambda r: np.cos(8.0 * np.pi * r), grid)
     roots = (2.0 * np.arange(16) + 1.0) / 16.0
@@ -368,21 +383,81 @@ def test_pv_with_regular_part():
     assert value == pytest.approx(2.0, abs=1e-8)
 
 
+def _pv_exponential(poles, r_max):
+    """PV int_0^r_max e^-r / prod_k (r - r_k) dr, by partial fractions:
+    the sum over k of e^-r_k (Ei(r_k - r_max) - Ei(r_k)) / prod_{j != k}
+    (r_k - r_j)."""
+    from scipy.special import expi
+
+    return sum(math.exp(-rk) * (expi(rk - r_max) - expi(rk))
+               / math.prod(rk - rj for rj in poles if rj != rk)
+               for rk in poles)
+
+
 def test_pv_at_located_pole_matches_exponential_integral():
     # PV int_0^2 e^-r / (r - r0) dr = e^-r0 (Ei(r0 - 2) - Ei(r0)), with
     # the pole found from a denominator that is not linear in r.  The
     # mirrored windows are first-order in the pole offset, so this only
     # holds once the pole itself is exact.
-    from scipy.special import expi
-
     r0 = 1.0 / math.sqrt(2.0)
     grid = _pv_grid()
     poles = find_poles(lambda r: np.exp(3.0 * r) - math.exp(3.0 * r0), grid)
     assert len(poles) == 1
     value = principal_value_integrate(
         _inverse_weight(lambda r: np.exp(-r) / (r - r0)), poles, grid)
-    exact = math.exp(-r0) * (expi(-(2.0 - r0)) - expi(r0))
-    assert value == pytest.approx(exact, rel=1e-9)
+    assert value == pytest.approx(_pv_exponential([r0], grid.r_max),
+                                  rel=1e-9)
+
+
+@pytest.mark.parametrize("poles", [
+    [0.5, 0.9],       # 0.5 is a power of two: its window spans two binades
+    [0.3, 1.2],
+    [0.5, 0.9, 1.6],
+    [0.7, 0.75, 1.9],  # windows set by the half-gap, not 5% of r
+])
+def test_pv_across_several_poles_matches_partial_fractions(poles):
+    # Each pole's tail is added back as a logarithm over the plain
+    # segments only: the windows integrate the other poles' tails
+    # themselves, so ln((r_max - r_k) / r_k) over the whole domain would
+    # count them twice.
+    grid = _pv_grid()
+    value = principal_value_integrate(
+        _inverse_weight(lambda r: np.exp(-r) / np.prod(
+            np.subtract.outer(r, poles), axis=-1)), poles, grid)
+    exact = _pv_exponential(poles, grid.r_max)
+    assert value == pytest.approx(exact, rel=1e-11)
+
+
+@pytest.mark.parametrize("centre", ["node", "midpoint"])
+def test_pole_pair_at_the_separation_floor_is_found_or_refused(centre):
+    # Two roots 1.001 times the closest separation the windows allow.
+    # Straddling a node, both are found; inside one bracket, neither is.
+    # Either way the integral is right or fails loudly, never quietly
+    # wrong.
+    grid = _pv_grid()
+    k = 700
+    middle = {"node": grid.nodes[k],
+              "midpoint": 0.5 * (grid.nodes[k] + grid.nodes[k + 1])}[centre]
+    half_gap = 1.001 * radial.PV_SEPARATION_FLOOR * grid.r_max
+    pair = [middle - half_gap, middle + half_gap]
+
+    def denominator(r):
+        return (r - pair[0]) * (r - pair[1])
+
+    poles = find_poles(denominator, grid)
+    if centre == "node":
+        np.testing.assert_allclose(poles, pair, rtol=0.0,
+                                   atol=1e-12 * grid.r_max)
+    else:
+        assert poles == []
+    try:
+        value = principal_value_integrate(
+            _inverse_weight(lambda r: np.exp(-r) / denominator(r)), poles,
+            grid)
+    except (PrincipalValueError, QuadratureError):
+        return
+    assert value == pytest.approx(_pv_exponential(pair, grid.r_max),
+                                  rel=1e-8)
 
 
 def test_pv_without_poles_equals_plain_quadrature():

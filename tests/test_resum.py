@@ -182,3 +182,26 @@ def test_run_methods_orders_and_references(analytic_half):
                                 t_ref=analytic_half.t_ref)
     assert [rep.method for rep in reports] == list(resum.ALL_METHODS)
     assert all(rep.t_ref == analytic_half.t_ref for rep in reports)
+
+
+def test_run_methods_builds_the_tau_table_only_for_pade(atom_bundle):
+    argon = atom_bundle("ar")
+    radii = []
+
+    def counted(r):
+        radii.append(np.size(r))
+        return argon.model.profile(r)
+
+    model = replace(argon.model, profile=counted)
+    resum.integrate_method(model, ResumMethod.T0, argon.grid)
+    alone = sum(radii)
+    radii.clear()
+    reports = resum.run_methods(model, [ResumMethod.T0], argon.grid,
+                                argon.t_ref)
+    assert reports[0].T == argon.reports[ResumMethod.T0].T
+    # The quadrature's own radii (357 on Ar) and no 1,600-node table.
+    assert sum(radii) == alone < argon.grid.nodes.size
+    radii.clear()
+    resum.run_methods(model, [ResumMethod.T0, ResumMethod.PADE11],
+                      argon.grid, argon.t_ref)
+    assert sum(radii) > alone + argon.grid.nodes.size
