@@ -323,41 +323,74 @@ def _solve_relative(omega: float, lam: float, n_points: int,
 # |phi_rel|^2 = u(s)^2/(4 pi s^2), the angular integral in
 # rho(r) = 2 int |Phi_cm(r - s/2)|^2 |phi_rel(s)|^2 d^3s is elementary:
 #
-#   rho(r) = C/r * int_0^inf (u^2/s)
-#              [exp(-2w(r - s/2)^2) - exp(-2w(r + s/2)^2)] ds,
-#   C = (2 omega/pi)^(3/2) / (2 omega).
+#   rho(r) = C J(r) / r,  J(r) = int_0^inf (u^2/s)
+#              [exp(-c(r - s/2)^2) - exp(-c(r + s/2)^2)] ds,
+#   c = 2 omega,  C = (2 omega/pi)^(3/2) / (2 omega).
 #
-# The r-dependence sits in shifted Gaussians, so four derivatives come
-# from Hermite polynomials under the (fixed-node) quadrature sum, and a
-# short odd Taylor series in r keeps the 1/r division stable near the
-# origin.  The closed form integrates to exactly 2 electrons, which is
-# verified after reconstruction.
+# J is a Gauss-Legendre sum over uniform panels: panel p starts at
+# s/2 = a_p, and its nodes sit at s/2 = a_p + t_i with the same offsets
+# t_i in every panel.  The k-th r-derivative of a shifted Gaussian is
+# (-sqrt(c))^k H_k(x) exp(-x^2), and with x = sqrt(c)(r -+ a_p -+ t_i)
+# = u + y_i, u = sqrt(c)(r -+ a_p) and y_i = -+sqrt(c) t_i, both factors
+# split into a panel part and an offset part:
+#
+#   exp(-x^2) = exp(-u^2) exp(+-2c r t_i) exp(-2c a_p t_i - c t_i^2),
+#   H_k(x)    = sum_j C(k,j) H_(k-j)(u) (2 y_i)^j
+#
+# (the Hermite addition formula, DLMF 18.18).  The last exponential goes
+# into the weights w_pi, so the offsets sum in one contraction,
+# M_j(r, p) = sum_i exp(+-2c r t_i) (2 y_i)^j w_pi, and
+#
+#   J^(k)(r) = (-sqrt(c))^k sum_(-+, p, j) C(k,j) H_(k-j)(u) exp(-u^2) M_j
+#
+# with the sign of each shift's Gaussian: 2 x 72 plus 2 x 12
+# exponentials per radius instead of one per node and shift.  This form
+# of the addition formula, in powers of the small 2 y_i, cancels less
+# than the one in powers of 2u.  Every sum runs along a last axis of
+# fixed length with no BLAS call, so a radius gets the same bits alone
+# as in a batch.  Near the origin d^k(J/r) cancels, and a short odd
+# Taylor series in r takes over.  The closed form integrates to exactly
+# 2 electrons, which is verified after reconstruction.
 # ---------------------------------------------------------------------------
 
-def _gauss_panels(s_max: float, n_panels: int, order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(0.0, s_max, n_panels + 1)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        nodes.append(half * (x + 1.0) + a)
-        weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+# The kernel's two shifts, r - s/2 (sign -1) and r + s/2 (sign +1), and
+# the addition formula's C(k, j) at [k, (shift, m, j)] where m + j = k:
+# one sum along the last axis takes every order of J over both shifts.
+_SHIFT = np.array([-1.0, 1.0])
+_ADDITION = np.tile([[float(math.comb(k, j) * (m + j == k))
+                      for m in range(jets.ORDERS) for j in range(jets.ORDERS)]
+                     for k in range(jets.ORDERS)], 2)
 
 
 def _reconstruct_density(omega: float, s: np.ndarray, u: np.ndarray,
                          label: str, quad_panels: int = 72,
                          panel_order: int = 12) -> DensityModel:
+    """rho = C J(r)/r from u(s) on the uniform grid ``s``.
+
+    u is read through a quintic spline at the Gauss-Legendre nodes of
+    ``quad_panels`` equal panels of ``panel_order`` points on
+    [0, s[-1]].  From ``switch`` on, the jet of J is the panel sum
+    factorised as above; below it, an odd Taylor series from the
+    moments J^(k)(0).  The profile keeps no array larger than the
+    (panel_order, quad_panels) weights, since callers may hold many
+    models at once.
+    """
+
     from scipy.interpolate import InterpolatedUnivariateSpline
 
     c = 2.0 * omega
     sqrt_c = math.sqrt(c)
     pref = (2.0 * omega / math.pi) ** 1.5 / (2.0 * omega)
 
+    # Panel starts a_p and node offsets t_i along s/2, so s = 2(a_p + t_i).
+    x, w = np.polynomial.legendre.leggauss(panel_order)
+    width = 0.5 * float(s[-1]) / quad_panels
+    a = width * np.arange(quad_panels)
+    t = 0.5 * width * (x + 1.0)
+    half_nodes = a[:, None] + t
+    nodes = 2.0 * half_nodes
     u_spline = InterpolatedUnivariateSpline(s, u, k=5)
-    nodes, weights = _gauss_panels(float(s[-1]), quad_panels, panel_order)
-    w_of_s = weights * u_spline(nodes) ** 2 / nodes
-    half_nodes = 0.5 * nodes
+    w_of_s = width * w * u_spline(nodes) ** 2 / nodes
 
     # Odd moments J_k(0) for the near-origin series of rho = C J(r)/r.
     x0 = sqrt_c * half_nodes
@@ -369,21 +402,32 @@ def _reconstruct_density(omega: float, s: np.ndarray, u: np.ndarray,
             np.sum(w_of_s * herm0[k_odd] * gauss0))
         series_coeffs[k_odd - 1] = pref * j_k / math.factorial(k_odd)
     switch = 0.2 / sqrt_c
-    signs = np.cumprod([1.0] + [-sqrt_c] * (jets.ORDERS - 1))[:, None]
 
-    # Both shifted Gaussians, r - s/2 and r + s/2, in one array.
-    shifts = np.stack((-half_nodes, half_nodes))[:, None, :]
+    weights = np.ascontiguousarray(
+        (w_of_s * np.exp(-c * t * (2.0 * a[:, None] + t))).T)
+    scale = pref * np.cumprod([1.0] + [-sqrt_c] * (jets.ORDERS - 1))[:, None]
 
     def far(r: np.ndarray) -> np.ndarray:
-        # (5, 2, r.size, 864): DensityModel keeps r.size to EVAL_BLOCK.
-        x = sqrt_c * (r[:, None] + shifts)
-        kernel = jets.hermite_values(x, 4)
-        kernel *= np.exp(-x * x)
-        terms = kernel[:, 0]
-        terms -= kernel[:, 1]
-        terms *= w_of_s
-        j_jet = signs * np.sum(terms, axis=-1)
-        return pref * jets.multiply(jets.power(r, -1), j_jet)
+        # Arrays are at most (5, 2, r.size, quad_panels), and
+        # DensityModel keeps r.size to EVAL_BLOCK.  einsum without
+        # optimize makes no BLAS call, and each sum keeps its order.
+        # a_p and the offset factors (2 y_i)^j exp(+-2c r t_i), with the
+        # + or - of the difference, are rebuilt on every call, which
+        # costs little and keeps the model small.
+        two_y = (2.0 * sqrt_c * _SHIFT)[:, None, None] * t
+        offsets = np.empty((jets.ORDERS, 2, r.size, t.size))
+        offsets[0] = np.exp(np.multiply.outer(_SHIFT, r)[..., None]
+                            * (-2.0 * c * t)) * -_SHIFT[:, None, None]
+        for j in range(1, jets.ORDERS):
+            offsets[j] = offsets[j - 1] * two_y
+        m = np.einsum("jsri,ip->jsrp", offsets, weights)
+        a_p = width * np.arange(quad_panels)
+        u_shift = sqrt_c * (r[:, None] + _SHIFT[:, None, None] * a_p)
+        panel = (jets.hermite_values(u_shift, jets.ORDERS - 1)
+                 * np.exp(-u_shift * u_shift))
+        pairs = np.einsum("msrp,jsrp->rsmj", panel, m).reshape(r.size, -1)
+        j_jet = scale * np.einsum("kq,rq->kr", _ADDITION, pairs)
+        return jets.multiply(jets.power(r, -1), j_jet)
 
     def profile(r) -> np.ndarray:
         return _piecewise(r, switch,

@@ -14,6 +14,8 @@ a jet can hold one point (shape ``(5,)``) or a batch (shape ``(5, n)``).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 ORDERS = 5  # value plus four derivatives
@@ -136,15 +138,18 @@ def exponential(r, zeta: float) -> np.ndarray:
 
 
 def erf_scaled(r, beta: float) -> np.ndarray:
-    """erf(beta r); derivatives are Gaussian-Hermite terms."""
-    from scipy.special import erf
+    """erf(beta r); derivatives are Gaussian-Hermite terms.
 
+    The value is the standard library's ``math.erf``, radius by radius,
+    which costs little on the at most ``EVAL_BLOCK`` radii a density
+    model passes at a time.
+    """
     r = np.asarray(r, dtype=float)
     x = beta * r
     base = np.exp(-x * x)
     herm = hermite_values(x, ORDERS - 2)
     out = np.empty((ORDERS,) + r.shape)
-    out[0] = erf(x)
+    out[0] = np.reshape([math.erf(v) for v in x.flat], x.shape)
     pref = 2.0 * beta / np.sqrt(np.pi)
     for k in range(1, ORDERS):
         out[k] = pref * (-beta) ** (k - 1) * herm[k - 1] * base

@@ -95,7 +95,12 @@ TAIL_TOLERANCE = 3e-13
 
 # DensityModel evaluates an array of radii this many at a time, which
 # bounds the temporaries of every profile (the Hooke reconstruction
-# holds (5, 2, block, 864) arrays) and so the process's peak memory.
+# holds (5, 2, block, 72) arrays) and so the process's peak memory.
+# 16 is kept for memory, not speed: in 30 s benchmark runs on a 2-core
+# VM (a first version of the panel-factorised Hooke kernel, with grids
+# that still stored their nodes), 64 cut the hooke pass from 0.28 s to
+# 0.21 s (tabulated -38%, atoms -22%) but raised peak RSS by 5.9% on
+# hooke and 11.7% on tabulated, past the benchmark's 5% bound.
 EVAL_BLOCK = 16
 
 # Principal-value window: delta = min(PV_WINDOW_FRACTION * r_pole,
@@ -167,6 +172,17 @@ class DensityModel:
         return self._jet(r)[0]
 
 
+def _checked_nodes(nodes) -> np.ndarray:
+    nodes = np.asarray(nodes, dtype=float)
+    if nodes.ndim != 1 or nodes.size < 2:
+        raise ValueError("grid needs at least two nodes")
+    if nodes[0] < 0.0:
+        raise ValueError("grid nodes must be nonnegative")
+    if np.any(np.diff(nodes) <= 0.0):
+        raise ValueError("grid nodes must be strictly increasing")
+    return nodes
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     """Strictly increasing scan nodes; the last node is the cutoff."""
@@ -174,14 +190,7 @@ class RadialGrid:
     nodes: np.ndarray
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        if nodes.ndim != 1 or nodes.size < 2:
-            raise ValueError("grid needs at least two nodes")
-        if nodes[0] < 0.0:
-            raise ValueError("grid nodes must be nonnegative")
-        if np.any(np.diff(nodes) <= 0.0):
-            raise ValueError("grid nodes must be strictly increasing")
-        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "nodes", _checked_nodes(self.nodes))
 
     @property
     def r_max(self) -> float:
@@ -195,11 +204,37 @@ class RadialGrid:
     @classmethod
     def power_spaced(cls, r_min: float, r_max: float, n: int,
                      exponent: float = 2.5) -> "RadialGrid":
-        """Nodes clustered toward r_min as t**exponent, t in (0, 1]."""
+        """Nodes clustered toward r_min as t**exponent, t in (0, 1].
+
+        The grid keeps only these four numbers and rebuilds its nodes on
+        each read, which takes microseconds: a caller can hold one grid
+        per table row for the memory of a few floats.
+        """
         if not (0.0 <= r_min < r_max):
             raise ValueError("need 0 <= r_min < r_max")
+        grid = _PowerSpacedGrid(r_min, r_max, n, exponent)
+        _checked_nodes(grid.nodes)
+        return grid
+
+
+class _PowerSpacedGrid(RadialGrid):
+    """``RadialGrid.power_spaced``'s grid: its recipe, not its nodes."""
+
+    def __init__(self, r_min: float, r_max: float, n: int,
+                 exponent: float):
+        object.__setattr__(self, "_recipe", (r_min, r_max, n, exponent))
+
+    @property
+    def nodes(self) -> np.ndarray:
+        r_min, r_max, n, exponent = self._recipe
         t = np.linspace(0.0, 1.0, n)
-        return cls(r_min + (r_max - r_min) * t ** exponent)
+        return r_min + (r_max - r_min) * t ** exponent
+
+    @property
+    def r_max(self) -> float:
+        # nodes[-1], since t[-1] ** exponent is exactly 1.
+        r_min, r_max, _, _ = self._recipe
+        return float(r_min + (r_max - r_min))
 
 
 def grid_for_density(model: DensityModel) -> RadialGrid:

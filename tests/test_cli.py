@@ -354,17 +354,21 @@ def _python(args, cwd):
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
-    # No scipy module at all: not on import, and not through an atom
-    # row, which needs neither the Hooke solver nor a spline.
+    # No scipy module at all: not on import, and not through an atom row
+    # or the closed-form Hooke row at omega = 1/2, which need neither the
+    # Hooke solver nor a spline.
     loaded = ("print(sorted(m for m in sys.modules "
               "if m.startswith('scipy')))")
     for run in ["", "kedsum.cli.main(['atom', '--basis', 'ar'], "
+                    "standalone_mode=False); "
+                    "kedsum.cli.main(['hooke', '--omega', '0.5'], "
                     "standalone_mode=False); "]:
         done = _python(["-c", f"import sys, kedsum.cli; {run}{loaded}"],
                        tmp_path)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[]", done.stdout
     assert done.stdout.startswith("element")
+    assert "\n  0.5 " in done.stdout, done.stdout
 
 
 def test_make_tables_help_writes_nothing(tmp_path):

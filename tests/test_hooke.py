@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from kedsum import hooke, radial
+from kedsum import hooke, jets, radial
 
 
 # ---------------------------------------------------------------------------
@@ -146,18 +147,24 @@ def test_reconstruction_is_discretization_independent(hooke_solution):
             baseline.density.rho(r), abs=1e-8)
 
 
-def _normalized_taut_u(omega, poly, s):
-    """u = s poly(s) exp(-omega s^2 / 4), scaled so int_0^inf u^2 = 1.
+def _taut_norm(omega, poly):
+    """int_0^inf u^2 ds for u = s poly(s) exp(-omega s^2 / 4).
 
-    The norm comes from the Gaussian moments
+    From the Gaussian moments
     int_0^inf s^k exp(-a s^2) ds = Gamma((k + 1)/2) / (2 a^((k + 1)/2)).
     """
 
     p = np.polynomial.Polynomial([0.0] + list(poly))
     a = 0.5 * omega
-    norm = sum(coef * math.gamma(0.5 * (k + 1)) / (2.0 * a ** (0.5 * (k + 1)))
+    return sum(coef * math.gamma(0.5 * (k + 1)) / (2.0 * a ** (0.5 * (k + 1)))
                for k, coef in enumerate((p * p).coef))
-    return p(s) * np.exp(-0.25 * omega * s * s) / math.sqrt(norm)
+
+
+def _normalized_taut_u(omega, poly, s):
+    """u = s poly(s) exp(-omega s^2 / 4), scaled so int_0^inf u^2 = 1."""
+    p = np.polynomial.Polynomial([0.0] + list(poly))
+    return (p(s) * np.exp(-0.25 * omega * s * s)
+            / math.sqrt(_taut_norm(omega, poly)))
 
 
 @pytest.mark.parametrize("omega,eps_rel,poly", [
@@ -196,3 +203,166 @@ def test_singlet_ks_kinetic_on_gaussian_pair():
     grid = radial.grid_for_density(model)
     assert hooke.singlet_ks_kinetic(model, grid) == pytest.approx(
         1.5 * omega, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Density kernel against oracles
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def relative_state():
+    """Factory: the solver's (s, u) and the density built from them."""
+    cache = {}
+
+    def get(omega):
+        if omega not in cache:
+            _, s, u = hooke._solve_relative(omega, 1.0, 8001,
+                                            12.0 / math.sqrt(omega))
+            cache[omega] = s, u, hooke._reconstruct_density(omega, s, u,
+                                                            "kernel")
+        return cache[omega]
+
+    return get
+
+
+def _series_switch(omega):
+    # Below this radius the profile is the odd Taylor series of J / r.
+    return 0.2 / math.sqrt(2.0 * omega)
+
+
+def _panel_rule(s, u, panels=72, order=12):
+    """Half-nodes s/2 and weights u^2/s ds of the kernel's panel rule."""
+    from scipy.interpolate import InterpolatedUnivariateSpline
+
+    x, w = np.polynomial.legendre.leggauss(order)
+    width = 0.5 * float(s[-1]) / panels
+    half = (width * np.arange(panels)[:, None]
+            + 0.5 * width * (x + 1.0)).ravel()
+    u_half = InterpolatedUnivariateSpline(s, u, k=5)(2.0 * half)
+    return half, np.tile(width * w, panels) * u_half ** 2 / (2.0 * half)
+
+
+def _direct_density(omega, half, weight, r):
+    """The density jet summed over all 2 x 864 shifted nodes.
+
+    One Gaussian and five Hermite functions per node, shift and radius:
+    the kernel before its factorisation by panel.
+    """
+    root = math.sqrt(2.0 * omega)
+    x = root * (r[:, None] + np.stack((-half, half))[:, None, :])
+    kernel = jets.hermite_values(x, 4) * np.exp(-x * x)
+    signs = np.cumprod([1.0] + [-root] * 4)[:, None]
+    j_jet = signs * np.sum((kernel[:, 0] - kernel[:, 1]) * weight, axis=-1)
+    pref = (2.0 * omega / math.pi) ** 1.5 / (2.0 * omega)
+    return pref * jets.multiply(jets.power(r, -1), j_jet)
+
+
+def _mp_density(omega, half, weight, r):
+    """The same panel sum at 30 digits, by the Hermite recursion."""
+    with mp.workdps(30):
+        c = 2 * mp.mpf(omega)
+        root = mp.sqrt(c)
+        r = mp.mpf(r)
+        scale = [(-root) ** k for k in range(5)]
+        j_jet = [mp.mpf(0)] * 5
+        for h, w in zip(half, weight):
+            for sign in (-1, 1):
+                x = root * (r + sign * mp.mpf(h))
+                herm = [mp.mpf(1), 2 * x]
+                for n in range(1, 4):
+                    herm.append(2 * x * herm[n] - 2 * n * herm[n - 1])
+                g = -sign * mp.mpf(w) * mp.exp(-x * x)
+                for k in range(5):
+                    j_jet[k] += g * scale[k] * herm[k]
+        pref = (c / mp.pi) ** mp.mpf(1.5) / c
+        # Leibniz with d^m (1/r) = (-1)^m m! / r^(m + 1).
+        return np.array([float(pref * sum(
+            mp.binomial(k, j) * j_jet[j] * (-1) ** (k - j)
+            * mp.factorial(k - j) / r ** (k - j + 1) for j in range(k + 1)))
+            for k in range(5)])
+
+
+@pytest.mark.parametrize("omega", [0.1, 0.25, 1.0, 4.0])
+def test_kernel_matches_the_direct_node_sum(relative_state, omega):
+    # Every positive grid node from the series switch on, where the
+    # panel kernel applies; below it the direct sum's 1/r cancels.
+    s, u, model = relative_state(omega)
+    half, weight = _panel_rule(s, u)
+    r = radial.grid_for_density(model).positive_nodes
+    r = r[r >= _series_switch(omega)]
+    want = np.concatenate([_direct_density(omega, half, weight, r[i:i + 64])
+                           for i in range(0, r.size, 64)], axis=1)
+    got = model.profile(r)
+    assert np.all(np.abs(got[0] - want[0]) <= 1e-13 * want[0])
+    for k in range(1, jets.ORDERS):
+        assert np.max(np.abs(got[k] - want[k])) <= (
+            1e-10 * np.max(np.abs(want[k]))), k
+
+
+def test_kernel_matches_mpmath_at_switch_peak_and_tail(relative_state):
+    # Just above the series switch (where d^k(J/r) cancels most), at the
+    # density peak (the origin, on the series) and in the Gaussian tail.
+    omega = 1.0
+    s, u, model = relative_state(omega)
+    half, weight = _panel_rule(s, u)
+    nodes = radial.grid_for_density(model).positive_nodes
+    peak = float(nodes[np.argmax(model.rho(nodes))])
+    rel = np.array([1e-14, 1e-13, 1e-13, 1e-11, 1e-10])
+    for r in (1.05 * _series_switch(omega), peak, 0.5 * nodes[-1]):
+        want = _mp_density(omega, half, weight, r)
+        assert np.all(np.abs(model.profile(r) - want)
+                      <= rel * np.abs(want)), r
+
+
+@pytest.mark.parametrize("omega", [0.1, 4.0])
+def test_solver_profile_is_bit_invariant_to_batching(hooke_solution, omega):
+    model = hooke_solution(omega).density
+    switch = _series_switch(omega)
+    r = np.geomspace(0.3 * switch, 6.0 / math.sqrt(omega), 16)
+    assert np.any(r < switch) and np.any(r > switch)
+    batch = model.profile(r)
+    for i, radius in enumerate(r):
+        np.testing.assert_array_equal(model.profile(float(radius)),
+                                      batch[:, i])
+
+
+def test_ks_kinetic_matches_an_independent_taut_oracle(hooke_solution):
+    # T_s at omega = 1/10 from Taut's closed-form u(s): rho and rho' by
+    # QUADPACK over s at each r, then (1/8) int rho'^2 / rho d^3r.
+    # Measured 1.2e-12 apart; the tolerance keeps a 10x margin.
+    from scipy.integrate import quad
+
+    omega, poly = 0.1, (1.0, 0.5, 0.05)
+    c = 2.0 * omega
+    pref = (2.0 * omega / math.pi) ** 1.5 / (2.0 * omega)
+    norm = _taut_norm(omega, poly)
+
+    def u2_over_s(s):
+        p = s * sum(coef * s ** k for k, coef in enumerate(poly))
+        return p * p * math.exp(-0.5 * omega * s * s) / (norm * s)
+
+    def rho_and_slope(r):
+        # K = exp(-c (r - s/2)^2) - exp(-c (r + s/2)^2) and dK/dr, each
+        # written without the cancellation at small r s.
+        def kernel(s):
+            return (math.exp(-c * (r - 0.5 * s) ** 2)
+                    * -math.expm1(-2.0 * c * r * s))
+
+        def slope(s):
+            return 2.0 * c * math.exp(-c * (r - 0.5 * s) ** 2) * (
+                s * math.exp(-2.0 * c * r * s)
+                + (r - 0.5 * s) * math.expm1(-2.0 * c * r * s))
+
+        top = 2.0 * r + 20.0 / math.sqrt(c)
+        j, dj = (quad(lambda s: u2_over_s(s) * f(s), 0.0, top, epsabs=0.0,
+                      epsrel=1e-11, limit=200, points=[2.0 * r])[0]
+                 for f in (kernel, slope))
+        return pref * j / r, pref * (dj - j / r) / r
+
+    def integrand(r):
+        rho, d1 = rho_and_slope(r)
+        return 4.0 * math.pi * r * r * d1 * d1 / (8.0 * rho)
+
+    t_s = quad(integrand, 0.0, 12.0 / math.sqrt(omega), epsabs=0.0,
+               epsrel=1e-13, limit=200, points=[2.0, 5.0, 10.0, 20.0])[0]
+    assert hooke_solution(omega).T_exact == pytest.approx(t_s, rel=1.2e-11)

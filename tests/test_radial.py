@@ -43,6 +43,18 @@ def test_grid_rejects_bad_nodes():
         RadialGrid(nodes=np.array([0.5, 0.4, 1.0]))
     with pytest.raises(ValueError):
         RadialGrid(nodes=np.array([-1.0, 0.5, 1.0]))
+    with pytest.raises(ValueError):
+        RadialGrid.power_spaced(1e-4, 30.0, 1)
+
+
+def test_power_spaced_grid_keeps_its_recipe_not_its_nodes():
+    # The same nodes, bit for bit, as the array it used to store, but
+    # rebuilt on each read: a grid held per table row costs a few floats.
+    grid = RadialGrid.power_spaced(1e-4, 30.0, 1600)
+    t = np.linspace(0.0, 1.0, 1600)
+    np.testing.assert_array_equal(grid.nodes, 1e-4 + (30.0 - 1e-4) * t ** 2.5)
+    assert grid.r_max == grid.nodes[-1]
+    assert all(np.asarray(v).size < 10 for v in vars(grid).values())
 
 
 def _tail_weight(model, r):
