@@ -27,7 +27,7 @@ import numpy as np
 
 from . import jets
 from .radial import DensityDerivatives, DensityModel, RadialGrid, \
-    grid_for_density, integrate_radial
+    blockwise, grid_for_density, integrate_radial
 
 FOUR_PI = 4.0 * math.pi
 
@@ -330,7 +330,7 @@ def _density_jet(basis: STOBasisSet, r) -> np.ndarray:
 def density_model(basis: STOBasisSet) -> DensityModel:
     """Wrap a basis set as a DensityModel for the expansion pipeline."""
     return DensityModel(
-        profile=lambda r: _density_jet(basis, r),
+        profile=blockwise(lambda r: _density_jet(basis, r)),
         electron_count=basis.electron_count,
         label=f"rhf({basis.element})",
     )

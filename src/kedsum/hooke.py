@@ -32,7 +32,7 @@ from functools import cache
 import numpy as np
 
 from . import jets
-from .radial import (DensityModel, RadialGrid, grid_for_density,
+from .radial import (DensityModel, RadialGrid, blockwise, grid_for_density,
                      integrate_radial)
 
 
@@ -407,9 +407,10 @@ def _reconstruct_density(omega: float, s: np.ndarray, u: np.ndarray,
         (w_of_s * np.exp(-c * t * (2.0 * a[:, None] + t))).T)
     scale = pref * np.cumprod([1.0] + [-sqrt_c] * (jets.ORDERS - 1))[:, None]
 
+    @blockwise
     def far(r: np.ndarray) -> np.ndarray:
         # Arrays are at most (5, 2, r.size, quad_panels), and
-        # DensityModel keeps r.size to EVAL_BLOCK.  einsum without
+        # blockwise keeps r.size to EVAL_BLOCK.  einsum without
         # optimize makes no BLAS call, and each sum keeps its order.
         # a_p and the offset factors (2 y_i)^j exp(+-2c r t_i), with the
         # + or - of the difference, are rebuilt on every call, which

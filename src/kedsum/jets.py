@@ -140,9 +140,10 @@ def exponential(r, zeta: float) -> np.ndarray:
 def erf_scaled(r, beta: float) -> np.ndarray:
     """erf(beta r); derivatives are Gaussian-Hermite terms.
 
-    The value is the standard library's ``math.erf``, radius by radius,
-    which costs little on the at most ``EVAL_BLOCK`` radii a density
-    model passes at a time.
+    The value is the standard library's ``math.erf``, radius by radius.
+    The omega = 1/2 Hooke density passes it whole arrays, up to the
+    1,600 nodes of a grid; the loop costs about 0.25 us a radius, a
+    sixth of that density's whole jet (2-core VM).
     """
     r = np.asarray(r, dtype=float)
     x = beta * r

@@ -4,7 +4,8 @@ Everything in this package lives on spherically symmetric densities, so
 the only geometry is the radial half-line.  This module owns:
 
 * ``DensityDerivatives`` / ``DensityModel`` -- a density profile carried
-  together with its first four radial derivatives,
+  together with its first four radial derivatives, and ``blockwise``
+  for profiles whose temporaries grow with the batch,
 * ``RadialGrid`` -- scan nodes plus the integration cutoff,
 * ``integrate_radial`` -- adaptive quadrature of ``4 pi r^2 f(r)``,
 * ``find_poles`` -- sign changes of a denominator, narrowed by
@@ -93,14 +94,17 @@ _TINY = np.finfo(float).tiny
 # rows of the accuracy tables.
 TAIL_TOLERANCE = 3e-13
 
-# DensityModel evaluates an array of radii this many at a time, which
-# bounds the temporaries of every profile (the Hooke reconstruction
-# holds (5, 2, block, 72) arrays) and so the process's peak memory.
-# 16 is kept for memory, not speed: in 30 s benchmark runs on a 2-core
-# VM (a first version of the panel-factorised Hooke kernel, with grids
-# that still stored their nodes), 64 cut the hooke pass from 0.28 s to
-# 0.21 s (tabulated -38%, atoms -22%) but raised peak RSS by 5.9% on
-# hooke and 11.7% on tabulated, past the benchmark's 5% bound.
+# ``blockwise`` profiles take an array of radii this many at a time.
+# Only the two kernels whose temporaries grow with the batch use it:
+# the atomic density (``(5, n, orbitals, primitives)`` arrays) and the
+# Hooke panel sum (``(5, 2, n, 72)``).  Unblocked, one 1,600-radius
+# evaluation peaks at about 26 MB of temporaries on either, against
+# 0.4-0.5 MB at 16.  The tabulated spline, the omega = 1/2 closed form
+# and the test profiles hold nothing per radius beyond the jet itself,
+# so they take whole arrays.  16 is the conservative choice: in three
+# paired 30 s benchmark runs per workload on a 2-core VM, 64 cut the
+# pass by 24% on atoms and 23% on hooke but raised peak RSS by
+# 1.3-1.4%.
 EVAL_BLOCK = 16
 
 # Principal-value window: delta = min(PV_WINDOW_FRACTION * r_pole,
@@ -108,6 +112,12 @@ EVAL_BLOCK = 16
 PV_WINDOW_FRACTION = 0.05
 # Poles separated by less than twice this floor abort the run.
 PV_SEPARATION_FLOOR = 1e-7
+# Relative rounding error of a window integral.  Close poles make their
+# windows grow like 1/separation and cancel each other down to T, so a
+# principal value whose windows' rounding exceeds the quadrature
+# tolerance on T is refused: on e^-r/((r - a)(r - b)), T is off by
+# about 1e-12 sum|windows|/|T| relative.
+PV_WINDOW_ROUNDOFF = 1e-13
 
 _PV_GAUSS_NODES, _PV_GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
@@ -145,7 +155,8 @@ class DensityModel:
     ``profile`` maps a 1-d array of n radii to a ``(5, n)`` derivative
     jet (see ``jets``), and a float or 0-d array to a ``(5,)`` jet;
     ``eval`` and ``rho`` follow the same contract, calling ``profile``
-    on at most ``EVAL_BLOCK`` radii at a time.  ``electron_count`` is
+    once on the whole array.  A profile whose temporaries grow with the
+    batch bounds them itself (see ``blockwise``).  ``electron_count`` is
     the analytic or measured value of ``4 pi int r^2 rho dr``; shipped
     models must satisfy it to 1e-8 relative.  ``r_support`` bounds the
     trustworthy domain for models that only exist on a finite table.
@@ -156,20 +167,25 @@ class DensityModel:
     label: str = ""
     r_support: float | None = None
 
-    def _jet(self, r) -> np.ndarray:
-        """``profile(r)``, an array taken EVAL_BLOCK radii at a time."""
+    def eval(self, r) -> DensityDerivatives:
+        return DensityDerivatives(*self.profile(np.asarray(r, dtype=float)))
+
+    def rho(self, r):
+        return self.profile(np.asarray(r, dtype=float))[0]
+
+
+def blockwise(profile: Callable) -> Callable:
+    """``profile``, taken EVAL_BLOCK radii at a time on larger arrays."""
+
+    def blocked(r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         if r.size <= EVAL_BLOCK:
-            return self.profile(r)
-        return np.concatenate([self.profile(r[i:i + EVAL_BLOCK])
+            return profile(r)
+        return np.concatenate([profile(r[i:i + EVAL_BLOCK])
                                for i in range(0, r.size, EVAL_BLOCK)],
                               axis=1)
 
-    def eval(self, r) -> DensityDerivatives:
-        return DensityDerivatives(*self._jet(r))
-
-    def rho(self, r):
-        return self._jet(r)[0]
+    return blocked
 
 
 def _checked_nodes(nodes) -> np.ndarray:
@@ -520,9 +536,10 @@ def _window_integrals(f: Callable, poles: np.ndarray,
     two-sided Richardson steps, and returned for the plain segments.
     The symmetric average kills the odd error terms, so the ladder
     converges as h^2, h^4, ...  A ladder that does not settle flags a
-    pole that is not simple, and the PV prescription does not apply.  Every ladder and every window node of
-    every pole is one batched call of f; a value that is not finite
-    raises ``QuadratureError`` naming the smallest such radius.
+    pole that is not simple, and the PV prescription does not apply.
+    Every ladder and every window node of every pole is one batched
+    call of f; a value that is not finite raises ``QuadratureError``
+    naming the smallest such radius.
     """
 
     offsets = deltas[:, None] / np.array([1.0, 2.0, 4.0, 8.0, 16.0])
@@ -585,8 +602,11 @@ def principal_value_integrate(f: Callable,
     off, the integrand left between the windows is smooth.  The tails
     are added back in closed form, A_k ln|(hi - r_k)/(lo - r_k)| for
     every plain segment [lo, hi], so the other poles' windows are left
-    out of each pole's logarithm.  f takes an array of radii, as for
-    ``integrate_radial``.
+    out of each pole's logarithm.  Close poles have large windows that
+    cancel each other; when ``PV_WINDOW_ROUNDOFF`` times their summed
+    magnitude exceeds the quadrature tolerance on the result, the
+    result is refused with ``PrincipalValueError``.  f takes an array of
+    radii, as for ``integrate_radial``.
     """
 
     poles = np.sort(np.asarray(poles, dtype=float))
@@ -619,8 +639,16 @@ def principal_value_integrate(f: Callable,
 
     tails = np.log(np.abs(np.subtract.outer(hi, poles)
                           / np.subtract.outer(lo, poles))).sum(axis=0)
-    return (_quad_segment(smooth, lo, hi) + float(residues @ tails)
-            + float(np.sum(windows)))
+    value = (_quad_segment(smooth, lo, hi) + float(residues @ tails)
+             + float(np.sum(windows)))
+    magnitude = float(np.sum(np.abs(windows)))
+    if PV_WINDOW_ROUNDOFF * magnitude > max(QUAD_ABSTOL,
+                                            QUAD_RELTOL * abs(value)):
+        raise PrincipalValueError(
+            f"pole windows of total magnitude {magnitude:.6g} cancel to "
+            f"a principal value of {value:.6g}, past the quadrature "
+            "tolerance; the poles are too close")
+    return value
 
 
 def load_density_table(path) -> tuple[np.ndarray, np.ndarray]:

@@ -326,6 +326,22 @@ def test_solver_profile_is_bit_invariant_to_batching(hooke_solution, omega):
                                       batch[:, i])
 
 
+def test_closed_form_profile_is_bit_invariant_to_batching(analytic_half):
+    # The closed form takes whole arrays: its column of one 1,600-radius
+    # batch, radii one ulp either side of the series switch included,
+    # is the jet each radius gets alone.
+    model = analytic_half.model
+    switch = np.nextafter(hooke._SERIES_SWITCH, [0.0, np.inf])
+    radii = np.sort(np.concatenate((switch,
+                                    analytic_half.grid.positive_nodes[2:])))
+    assert radii.size == 1600
+    d = model.eval(radii)
+    batch = np.array([d.rho, d.d1, d.d2, d.d3, d.d4])
+    for i, radius in enumerate(radii):
+        np.testing.assert_array_equal(model.profile(float(radius)),
+                                      batch[:, i])
+
+
 def test_ks_kinetic_matches_an_independent_taut_oracle(hooke_solution):
     # T_s at omega = 1/10 from Taut's closed-form u(s): rho and rho' by
     # QUADPACK over s at each r, then (1/8) int rho'^2 / rho d^3r.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -472,6 +473,43 @@ def test_pole_pair_at_the_separation_floor_is_found_or_refused(centre):
                                   rel=1e-8)
 
 
+def _close_pair(node, half_gap):
+    """A pole pair ``half_gap`` separation floors either side of a node
+    of ``_pv_grid``, and the integrand e^-r / ((r - a)(r - b))."""
+    grid = _pv_grid()
+    offset = half_gap * radial.PV_SEPARATION_FLOOR * grid.r_max
+    pair = [grid.nodes[node] - offset, grid.nodes[node] + offset]
+    return grid, pair, _inverse_weight(
+        lambda r: np.exp(-r) / ((r - pair[0]) * (r - pair[1])))
+
+
+def test_close_pole_pair_whose_windows_cancel_is_refused():
+    # At 10 floors, around r = 1.27, the windows sum to 1.16e6 |T| in
+    # magnitude; their rounding left T 1.1e-6 off without an error.
+    grid, pair, f = _close_pair(1000, 10)
+    with pytest.raises(PrincipalValueError, match="cancel"):
+        principal_value_integrate(f, pair, grid)
+
+
+def test_close_pole_pair_below_the_cancellation_limit_is_integrated(
+        monkeypatch):
+    # At 1,000 floors, around r = 0.063, the windows sum to 287 |T|.
+    grid, pair, f = _close_pair(300, 1000)
+    magnitudes = []
+    window_integrals = radial._window_integrals
+
+    def spy(*args):
+        windows, residues = window_integrals(*args)
+        magnitudes.append(float(np.sum(np.abs(windows))))
+        return windows, residues
+
+    monkeypatch.setattr(radial, "_window_integrals", spy)
+    value = principal_value_integrate(f, pair, grid)
+    exact = _pv_exponential(pair, grid.r_max)
+    assert magnitudes[0] < 300.0 * abs(exact)
+    assert value == pytest.approx(exact, rel=1e-11)
+
+
 def test_pv_without_poles_equals_plain_quadrature():
     model = profiles.gaussian_density(1.0)
     grid = grid_for_density(model)
@@ -607,6 +645,56 @@ def test_tabulated_model_integrates_like_its_source():
     grid = RadialGrid.power_spaced(1e-3, 15.0, 600)
     count = integrate_radial(tab.rho, grid)
     assert count == pytest.approx(model.electron_count, rel=1e-6)
+
+
+def _sampled_neon():
+    """The bundled Ne density at 400 log-spaced radii on [1e-4, 80],
+    every interior radius moved by up to 0.4 log-steps either way."""
+    rng = np.random.default_rng(1)
+    u = np.linspace(math.log(1e-4), math.log(80.0), 400)
+    u[1:-1] += 0.4 * (u[1] - u[0]) * rng.uniform(-1.0, 1.0, 398)
+    r = np.exp(u)
+    return r, atoms.density_model(atoms.bundled_basis("ne")).rho(r)
+
+
+def test_tabulated_profile_is_bit_invariant_to_batching():
+    # The spline takes whole arrays.  The interior knots of an
+    # interpolating quintic are the samples r[3:-3]; radii one ulp
+    # either side of some of them join the grid's nodes.
+    r, rho = _sampled_neon()
+    model = tabulated_derivatives(r, rho)
+    knots = r[3:-3:8]
+    sides = np.concatenate((np.nextafter(knots, 0.0),
+                            np.nextafter(knots, np.inf)))
+    nodes = grid_for_density(model).positive_nodes
+    radii = np.sort(np.concatenate((sides, nodes[sides.size:])))
+    assert radii.size == 1600
+    d = model.eval(radii)
+    batch = np.array([d.rho, d.d1, d.d2, d.d3, d.d4])
+    single = np.array([model.profile(float(x)) for x in radii]).T
+    np.testing.assert_array_equal(single, batch)
+
+
+def _eval_peak_bytes(model) -> int:
+    """Peak traced memory of one ``model.eval`` on the model's grid."""
+    nodes = grid_for_density(model).positive_nodes
+    tracemalloc.start()
+    try:
+        model.eval(nodes)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_atom_kernel_is_evaluated_in_blocks():
+    # Unblocked, 1,600 Ar radii peak at about 26 MB of temporaries.
+    model = atoms.density_model(atoms.bundled_basis("ar"))
+    assert _eval_peak_bytes(model) < 2e6
+
+
+def test_hooke_kernel_is_evaluated_in_blocks(hooke_solution):
+    # Unblocked, the omega = 1/4 panel sum peaks at about 27 MB.
+    assert _eval_peak_bytes(hooke_solution(0.25).density) < 2e6
 
 
 # ---------------------------------------------------------------------------
