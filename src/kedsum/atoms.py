@@ -158,45 +158,44 @@ class STOBasisSet:
 
     @cached_property
     def _primitive_table(self):
-        """The r-independent factors of every primitive's jet.
+        """Exponents, Horner table and weights of the distinct primitives.
 
-        d^k r^m = (m)_k r^(m-k) with m = n - 1 >= 0 (the falling
-        factorial (m)_k is the jet of r^m at r = 1, zero past k = m) and
-        d^k e^(-zeta r) = (-zeta)^k e^(-zeta r); plus the (orbital,
-        primitive) weights c N.  Primitives run along the last axis.
+        Entries that repeat an (n, zeta) share one column, weighted per
+        orbital by the sum of their c N.  With m = n - 1, the k-th derivative
+        of r^m e^(-zeta r) is e^(-zeta r) sum_(i <= min(k, m)) C(k, i) (m)_i
+        (-zeta)^(k-i) r^(m-i); horner[k, j] is that sum's r^j coefficient.
         """
-        prims = [(i, p, c) for i, orb in enumerate(self.orbitals)
-                 for p, c in zip(orb.primitives, orb.coeffs)]
-        weights = np.zeros((len(self.orbitals), len(prims)))
-        for k, (i, p, c) in enumerate(prims):
-            weights[i, k] = c * p.norm
-        powers = np.array([p.n - 1 for _, p, _ in prims])
-        falling = np.stack([jets.power(1.0, m) for m in powers], axis=1)
-        exponents = np.maximum(powers - np.arange(jets.ORDERS)[:, None], 0)
-        zetas = np.array([p.zeta for _, p, _ in prims])
-        slopes = np.cumprod(np.vstack([np.ones_like(zetas)]
-                                      + [-zetas] * (jets.ORDERS - 1)), axis=0)
-        return falling, exponents, zetas, slopes, weights
+        distinct = list(dict.fromkeys(p for orb in self.orbitals
+                                      for p in orb.primitives))
+        weights = np.zeros((len(self.orbitals), len(distinct)))
+        for o, orb in enumerate(self.orbitals):
+            for p, c in zip(orb.primitives, orb.coeffs):
+                weights[o, distinct.index(p)] += c * p.norm
+        horner = np.zeros((jets.ORDERS, max(p.n for p in distinct),
+                           len(distinct)))
+        for col, p in enumerate(distinct):
+            for k in range(jets.ORDERS):
+                for i in range(min(k, p.n - 1) + 1):
+                    horner[k, p.n - 1 - i, col] = (
+                        math.comb(k, i) * math.perm(p.n - 1, i)
+                        * (-p.zeta) ** (k - i))
+        return np.array([p.zeta for p in distinct]), horner, weights
 
     def radial_jets(self, r) -> np.ndarray:
         """Jets of every orbital's R at r, shape (5,) + r.shape + (n_orb,).
 
-        Every Slater primitive of every orbital is one entry of a single
-        jet array, so one Leibniz product serves the whole basis.  Each
-        sum runs along a last axis of fixed length, so a radius gets the
-        same bits alone as in a batch.
+        Horner's rule in r and one e^(-zeta r) give every distinct
+        primitive's jet, and one weighted sum over them every orbital's.
+        Each sum runs along a last axis of fixed length, so a radius gets
+        the same bits alone as in a batch.
         """
-        falling, exponents, zetas, slopes, weights = self._primitive_table
+        zetas, horner, weights = self._primitive_table
         r = np.asarray(r, dtype=float)[..., None]
-        lead = (jets.ORDERS,) + (1,) * (r.ndim - 1)
-        # r^0 .. r^max by repeated multiplication, then r^(m-k) by lookup.
-        ladder = np.cumprod(np.concatenate(
-            [np.ones_like(r)] + [r] * int(exponents.max()), axis=-1), axis=-1)
-        powers = falling.reshape(lead + falling.shape[-1:]) * np.moveaxis(
-            ladder[..., exponents], -2, 0)
-        decays = slopes.reshape(lead + slopes.shape[-1:]) * np.exp(-zetas * r)
-        prims = jets.multiply(powers, decays)
-        return np.sum(prims[..., None, :] * weights, axis=-1)
+        horner = np.expand_dims(horner, tuple(range(2, r.ndim + 1)))
+        poly = horner[:, -1]
+        for j in reversed(range(horner.shape[1] - 1)):
+            poly = poly * r + horner[:, j]
+        return np.einsum("...p,op->...o", poly * np.exp(-zetas * r), weights)
 
 
 # ---------------------------------------------------------------------------

@@ -96,14 +96,15 @@ TAIL_TOLERANCE = 3e-13
 
 # ``blockwise`` profiles take an array of radii this many at a time.
 # Only the two kernels whose temporaries grow with the batch use it:
-# the atomic density (``(5, n, orbitals, primitives)`` arrays) and the
+# the atomic density (``(5, n, distinct primitives)`` arrays) and the
 # Hooke panel sum (``(5, 2, n, 72)``).  Unblocked, one 1,600-radius
-# evaluation peaks at about 26 MB of temporaries on either, against
-# 0.4-0.5 MB at 16.  The tabulated spline, the omega = 1/2 closed form
-# and the test profiles hold nothing per radius beyond the jet itself,
-# so they take whole arrays.  16 is the conservative choice: in three
-# paired 30 s benchmark runs per workload on a 2-core VM, 64 cut the
-# pass by 24% on atoms and 23% on hooke but raised peak RSS by
+# evaluation peaks at about 4.1 MB of temporaries on Ar and 27 MB on
+# Hooke, against 0.14 and 0.5 MB at 16.  The tabulated spline, the
+# omega = 1/2 closed form and the test profiles hold nothing per radius
+# beyond the jet itself, so they take whole arrays.  16 is the
+# conservative choice: in three paired 30 s benchmark runs per workload
+# on a 2-core VM, before the atom kernel took distinct primitives, 64
+# cut the pass by 24% on atoms and 23% on hooke but raised peak RSS by
 # 1.3-1.4%.
 EVAL_BLOCK = 16
 

@@ -2,8 +2,10 @@
 
 import json
 import math
+from dataclasses import replace
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from kedsum import atoms
@@ -243,3 +245,90 @@ def test_density_model_wraps_basis(atom_bundle):
     direct = atoms.density_derivs(bundle.basis, 1.3)
     assert d.rho == direct.rho
     assert d.d4 == direct.d4
+
+
+# ---------------------------------------------------------------------------
+# The density kernel: batching, exact jets and merged primitives.
+# ---------------------------------------------------------------------------
+
+JET_RADII = (1e-3, 0.05, 0.3, 1.0, 3.0, 10.0, 25.0)
+
+
+@pytest.mark.parametrize("element", BUNDLED)
+def test_profile_is_bit_invariant_to_batching(element, atom_bundle):
+    # The grid's radii and each one's next float up, alone and in one
+    # batch: the batch is taken EVAL_BLOCK radii at a time.
+    bundle = atom_bundle(element)
+    nodes = bundle.grid.positive_nodes
+    radii = np.concatenate((nodes, np.nextafter(nodes, np.inf)))
+    batch = bundle.model.profile(radii)
+    single = np.array([bundle.model.profile(float(r)) for r in radii]).T
+    np.testing.assert_array_equal(single, batch)
+
+
+def _exact_density_jet(basis, r):
+    """rho and d1..d4 at r in 40-digit mpmath, from the basis parameters:
+    d^k (r^m e^(-zeta r)) in closed form, then Leibniz on occ R^2."""
+    r = mp.mpf(repr(r))
+    rho = [mp.mpf(0)] * 5
+    for orb in basis.orbitals:
+        radial = [mp.mpf(0)] * 5
+        for p, c in zip(orb.primitives, orb.coeffs):
+            zeta, m = mp.mpf(repr(p.zeta)), p.n - 1
+            scale = (mp.mpf(repr(c)) * (2 * zeta) ** (p.n + mp.mpf("0.5"))
+                     / mp.sqrt(mp.factorial(2 * p.n)) * mp.exp(-zeta * r))
+            for k in range(5):
+                radial[k] += scale * mp.fsum(
+                    mp.binomial(k, i) * mp.ff(m, i) * (-zeta) ** (k - i)
+                    * r ** (m - i) for i in range(min(k, m) + 1))
+        for k in range(5):
+            rho[k] += orb.occ * mp.fsum(mp.binomial(k, j) * radial[j]
+                                        * radial[k - j]
+                                        for j in range(k + 1))
+    return [float(x / (4 * mp.pi)) for x in rho]
+
+
+@pytest.mark.parametrize("element", BUNDLED)
+def test_jets_match_exact_closed_form(element):
+    basis = atoms.bundled_basis(element)
+    old_dps = mp.mp.dps
+    mp.mp.dps = 40
+    try:
+        for r in JET_RADII:
+            mine = atoms.density_model(basis).profile(r)
+            exact = _exact_density_jet(basis, r)
+            for order in range(5):
+                assert mine[order] == pytest.approx(exact[order],
+                                                    rel=1e-12), \
+                    f"{element} d{order} at r={r}"
+    finally:
+        mp.mp.dps = old_dps
+
+
+def test_repeated_primitives_share_one_column():
+    # He with its first coefficient split over two identical entries.
+    he = atoms.bundled_basis("he")
+    (orb,) = he.orbitals
+    c = orb.coeffs[0]
+    split = replace(he, orbitals=(replace(
+        orb, primitives=orb.primitives[:1] + orb.primitives,
+        coeffs=(0.3 * c, 0.7 * c) + orb.coeffs[1:]),))
+    radii = np.array(JET_RADII)
+    np.testing.assert_allclose(atoms.density_model(split).profile(radii),
+                               atoms.density_model(he).profile(radii),
+                               rtol=1e-14)
+    assert atoms.hf_kinetic_quadrature(split) == pytest.approx(
+        atoms.hf_kinetic(he), rel=1e-8)
+
+    # Be's 1s and 2s share all six primitives; each orbital alone is a
+    # basis that lists its own.
+    be = atoms.bundled_basis("be")
+    assert be._primitive_table[0].size == 6
+    alone = [replace(be, electron_count=o.occ, orbitals=(o,))
+             for o in be.orbitals]
+    np.testing.assert_allclose(
+        sum(atoms.density_model(b).profile(radii) for b in alone),
+        atoms.density_model(be).profile(radii), rtol=1e-14)
+    grid = grid_for_density(atoms.density_model(be))
+    assert sum(atoms.hf_kinetic_quadrature(b, grid) for b in alone) \
+        == pytest.approx(atoms.hf_kinetic(be), rel=1e-8)

@@ -687,7 +687,7 @@ def _eval_peak_bytes(model) -> int:
 
 
 def test_atom_kernel_is_evaluated_in_blocks():
-    # Unblocked, 1,600 Ar radii peak at about 26 MB of temporaries.
+    # Unblocked, 1,600 Ar radii peak at about 4.1 MB of temporaries.
     model = atoms.density_model(atoms.bundled_basis("ar"))
     assert _eval_peak_bytes(model) < 2e6
 
