@@ -26,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import jets
-from .radial import DensityDerivatives, DensityModel, RadialGrid, \
-    blockwise, grid_for_density, integrate_radial
+from .radial import DensityModel, RadialGrid, blockwise, \
+    grid_for_density, integrate_radial
 
 FOUR_PI = 4.0 * math.pi
 
@@ -312,11 +312,13 @@ def parse_sto(file) -> STOBasisSet:
 # Density and kinetic energy.
 # ---------------------------------------------------------------------------
 
-def density_derivs(basis: STOBasisSet, r) -> DensityDerivatives:
-    """rho and d1..d4 at radius r (a float or an array of radii)."""
+def density_derivs(basis: STOBasisSet, r) -> np.ndarray:
+    """The ``(5,)`` jet of rho and d1..d4 at radius r, or the ``(5, n)``
+    jet at an array of radii."""
     if np.any(np.asarray(r) <= 0.0):
-        raise ValueError(f"density_derivs needs r > 0, got {r!r}")
-    return DensityDerivatives(*_density_jet(basis, r))
+        raise ValueError(f"density_derivs needs r > 0, got "
+                         f"r={float(np.min(r))!r}")
+    return _density_jet(basis, r)
 
 
 def _density_jet(basis: STOBasisSet, r) -> np.ndarray:
@@ -371,8 +373,8 @@ def nuclear_cusp_ratio(basis: STOBasisSet, r: float = 1e-8) -> float:
     exactly there, which makes the ratio a useful transcription check.
     """
 
-    d = density_derivs(basis, r)
-    return -d.d1 / (2.0 * d.rho)
+    rho, d1 = density_derivs(basis, r)[:2]
+    return -d1 / (2.0 * rho)
 
 
 # ---------------------------------------------------------------------------

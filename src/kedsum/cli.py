@@ -185,8 +185,10 @@ def dump(omega, basis, table, rmax, points, csv_path):
     else:
         if rmax is None:
             rmax = grid_for_density(model).r_max
-        elif not (rmax > 0.0):
-            raise click.BadParameter("--rmax must be positive")
+        elif not (math.isfinite(rmax) and rmax * 1e-4 > 0.0):
+            raise click.BadParameter(
+                f"--rmax must be finite, and large enough that the first "
+                f"radius rmax * 1e-4 is positive; got {rmax:g}")
         elif model.r_support is not None and rmax > model.r_support:
             raise click.BadParameter(
                 f"--rmax {rmax:g} lies beyond the density's support "
@@ -202,10 +204,10 @@ def dump(omega, basis, table, rmax, points, csv_path):
             for pole in method_poles(model, method, grid, table):
                 near |= np.abs(radii - pole) < PV_WINDOW_FRACTION * pole
             near_pole[f"{method.value}-pole"] = near
-        d = model.eval(radii)
-        p = tau_point(d, radii)
+        jet = model.eval(radii)
+        p = tau_point(jet, radii)
         # sum2, sum4, pade11, pade21: every method after T0 (= tau0).
-        columns = np.array([radii, d.rho, p.tau0, p.tau2, p.tau4, p.tau6]
+        columns = np.array([radii, jet[0], *p]
                            + [EVALUATORS[m](p) for m in ALL_METHODS[1:]])
     except (*NUMERICAL_ERRORS, ValueError) as exc:
         _fail(EXIT_NUMERICAL, str(exc))

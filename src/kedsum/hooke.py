@@ -67,10 +67,10 @@ def singlet_ks_kinetic(model: DensityModel, grid: RadialGrid) -> float:
     """(1/8) int (grad rho)^2 / rho: exact T_s for a 2e singlet."""
 
     def integrand(r):
-        d = model.eval(r)
-        live = d.rho > 0.0
-        return np.where(live, d.d1 * d.d1
-                        / (8.0 * np.where(live, d.rho, 1.0)), 0.0)[()]
+        rho, d1 = model.eval(r)[:2]
+        live = rho > 0.0
+        return np.where(live, d1 * d1
+                        / (8.0 * np.where(live, rho, 1.0)), 0.0)[()]
 
     return integrate_radial(integrand, grid)
 

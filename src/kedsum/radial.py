@@ -3,9 +3,9 @@
 Everything in this package lives on spherically symmetric densities, so
 the only geometry is the radial half-line.  This module owns:
 
-* ``DensityDerivatives`` / ``DensityModel`` -- a density profile carried
-  together with its first four radial derivatives, and ``blockwise``
-  for profiles whose temporaries grow with the batch,
+* ``DensityModel`` -- a density profile that maps radii to the
+  ``(5, n)`` jet of rho and its first four radial derivatives, and
+  ``blockwise`` for profiles whose temporaries grow with the batch,
 * ``RadialGrid`` -- scan nodes plus the integration cutoff,
 * ``integrate_radial`` -- adaptive quadrature of ``4 pi r^2 f(r)``,
 * ``find_poles`` -- sign changes of a denominator, narrowed by
@@ -31,6 +31,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
+
+from . import kedf
 
 FOUR_PI = 4.0 * math.pi
 
@@ -138,25 +140,14 @@ class PrincipalValueError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DensityDerivatives:
-    """rho and d^k rho/dr^k for k = 1..4 at a batch of radii (1-d
-    arrays), or at one radius (numpy scalars)."""
-
-    rho: float | np.ndarray
-    d1: float | np.ndarray
-    d2: float | np.ndarray
-    d3: float | np.ndarray
-    d4: float | np.ndarray
-
-
-@dataclass(frozen=True)
 class DensityModel:
     """A radial density with four derivatives available at any r > 0.
 
     ``profile`` maps a 1-d array of n radii to a ``(5, n)`` derivative
-    jet (see ``jets``), and a float or 0-d array to a ``(5,)`` jet;
-    ``eval`` and ``rho`` follow the same contract, calling ``profile``
-    once on the whole array.  A profile whose temporaries grow with the
+    jet (see ``jets``) of rho and its first four derivatives, and a
+    float or 0-d array to a ``(5,)`` jet.  ``eval`` returns that jet as
+    it is and ``rho`` its first row, each calling ``profile`` once on
+    the whole array.  A profile whose temporaries grow with the
     batch bounds them itself (see ``blockwise``).  ``electron_count`` is
     the analytic or measured value of ``4 pi int r^2 rho dr``; shipped
     models must satisfy it to 1e-8 relative.  ``r_support`` bounds the
@@ -168,8 +159,8 @@ class DensityModel:
     label: str = ""
     r_support: float | None = None
 
-    def eval(self, r) -> DensityDerivatives:
-        return DensityDerivatives(*self.profile(np.asarray(r, dtype=float)))
+    def eval(self, r) -> np.ndarray:
+        return self.profile(np.asarray(r, dtype=float))
 
     def rho(self, r):
         return self.profile(np.asarray(r, dtype=float))[0]
@@ -267,9 +258,6 @@ def grid_for_density(model: DensityModel) -> RadialGrid:
     invariant satisfied with a wide margin.
     """
 
-    # Imported here: kedf depends on this module for DensityDerivatives.
-    from .kedf import tau0, tau2, tau4, contractions
-
     cap = model.r_support
     start = 1.0 if cap is None else min(1.0, cap)
     # Repeated multiplication, through the first radius past 1e4.
@@ -280,15 +268,14 @@ def grid_for_density(model: DensityModel) -> RadialGrid:
     end = int(np.argmax(stop))
     radii = ladder[:end]
 
-    d = model.eval(radii)
-    live = d.rho > 0.0
-    r = radii[live]
-    d = DensityDerivatives(d.rho[live], d.d1[live], d.d2[live],
-                           d.d3[live], d.d4[live])
-    c = contractions(d, r)
+    jet = model.eval(radii)
+    live = jet[0] > 0.0
+    r, jet = radii[live], jet[:, live]
+    rho = jet[0]
+    c = kedf.contractions(jet, r)
     weight = np.zeros(radii.size)
-    weight[live] = FOUR_PI * r * r * (tau0(d.rho) + tau2(d.rho, c.g2)
-                                      + np.abs(tau4(c, d.rho)))
+    weight[live] = FOUR_PI * r * r * (kedf.tau0(rho) + kedf.tau2(rho, c[0])
+                                      + np.abs(kedf.tau4(c, rho)))
     # Not "<=": a NaN weight ends the ladder, as any non-positive rho does.
     below = ~(weight > TAIL_TOLERANCE)
     if np.any(below):

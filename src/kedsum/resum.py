@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kedf import TauPoint, tau_point
+from .kedf import tau_point
 from .radial import (DensityModel, RadialGrid, find_poles, grid_for_density,
                      integrate_radial, principal_value_integrate)
 
@@ -105,17 +105,15 @@ def percent_error(t: float, t_ref: float) -> float:
     return 100.0 * (t - t_ref) / t_ref
 
 
-def partial_sum(p: TauPoint, order: int):
-    """Sum of the expansion through the given (even) order."""
-    if order == 0:
-        return p.tau0
-    if order == 2:
-        return p.tau0 + p.tau2
-    if order == 4:
-        return p.tau0 + p.tau2 + p.tau4
-    if order == 6:
-        return p.tau0 + p.tau2 + p.tau4 + p.tau6
-    raise ValueError(f"order must be 0, 2, 4 or 6, got {order!r}")
+def partial_sum(p, order: int):
+    """Sum of the expansion through the given (even) order, from the
+    ``(4,)`` or ``(4, n)`` tau table ``p``, added row by row."""
+    if order not in (0, 2, 4, 6):
+        raise ValueError(f"order must be 0, 2, 4 or 6, got {order!r}")
+    total = p[0]
+    for term in p[1:order // 2 + 1]:
+        total = total + term
+    return total
 
 
 def _rational(base, lead, square, den, pole_message: str):
@@ -137,7 +135,7 @@ def _rational(base, lead, square, den, pole_message: str):
                     base + square / np.where(zero, 1.0, den))[()]
 
 
-def pade11(p: TauPoint):
+def pade11(p):
     """[1/1] resummation tau0 + tau2^2 / (tau2 - tau4).
 
     When tau2 == tau4 == 0 the correction is removable and the value is
@@ -145,16 +143,17 @@ def pade11(p: TauPoint):
     is a genuine pole and PadePole is raised.
     """
 
-    return _rational(p.tau0, p.tau2, p.tau2 * p.tau2, p.tau2 - p.tau4,
+    tau0, tau2, tau4, _ = p
+    return _rational(tau0, tau2, tau2 * tau2, tau2 - tau4,
                      "[1/1] pole: tau2 == tau4 ==")
 
 
-def pade21(p: TauPoint):
+def pade21(p):
     """[2/1] resummation tau0 + tau2 + tau4^2 / (tau4 - tau6)."""
     return pade21_of_x(p, 1.0)
 
 
-def pade21_of_x(p: TauPoint, x: float):
+def pade21_of_x(p, x: float):
     """[2/1] approximant in the order-counting variable x.
 
     f(x) = tau0 + tau2 x + tau4^2 x^2 / (tau4 - tau6 x); f(1) = pade21.
@@ -162,12 +161,13 @@ def pade21_of_x(p: TauPoint, x: float):
     with remainder tau6^2 x^4 / (tau4 - tau6 x).
     """
 
-    return _rational(p.tau0 + p.tau2 * x, p.tau4, p.tau4 * p.tau4 * x * x,
-                     p.tau4 - p.tau6 * x,
+    tau0, tau2, tau4, tau6 = p
+    return _rational(tau0 + tau2 * x, tau4, tau4 * tau4 * x * x,
+                     tau4 - tau6 * x,
                      f"[2/1](x={x!r}) pole: tau4 == tau6 x ==")
 
 
-# Each method's kinetic energy density, from the tau terms at a batch of
+# Each method's kinetic energy density, from the tau table at a batch of
 # radii (or at one radius).
 EVALUATORS = {
     ResumMethod.T0: lambda p: partial_sum(p, 0),
@@ -178,12 +178,12 @@ EVALUATORS = {
 }
 
 _DENOMINATORS = {
-    ResumMethod.PADE11: lambda p: p.tau2 - p.tau4,
-    ResumMethod.PADE21: lambda p: p.tau4 - p.tau6,
+    ResumMethod.PADE11: lambda p: p[1] - p[2],
+    ResumMethod.PADE21: lambda p: p[2] - p[3],
 }
 
 
-def tau_table(model: DensityModel, grid: RadialGrid) -> TauPoint:
+def tau_table(model: DensityModel, grid: RadialGrid) -> np.ndarray:
     """tau0..tau6 on every positive grid node, from one batched density
     evaluation.
 
@@ -197,7 +197,7 @@ def tau_table(model: DensityModel, grid: RadialGrid) -> TauPoint:
 
 
 def method_poles(model: DensityModel, method: ResumMethod, grid: RadialGrid,
-                 table: TauPoint | None = None) -> list[float]:
+                 table: np.ndarray | None = None) -> list[float]:
     """Poles of a method's integrand on the grid.
 
     For a Pade method these are the sign changes of its denominator,
@@ -216,7 +216,7 @@ def method_poles(model: DensityModel, method: ResumMethod, grid: RadialGrid,
 
 def integrate_method(model: DensityModel, method: ResumMethod,
                      grid: RadialGrid, t_ref: float | None = None,
-                     table: TauPoint | None = None) -> KineticReport:
+                     table: np.ndarray | None = None) -> KineticReport:
     """Total kinetic energy of one method over one density.
 
     Pade methods first scan ``table``, the density's ``tau_table`` on

@@ -40,11 +40,11 @@ def test_hydrogenic_1s_density_closed_form(tmp_path):
     # n=1, zeta=1, occ=1 gives R = 2 e^{-r}, so rho = e^{-2r} / pi.
     path = _write_basis(tmp_path, _single_zeta("H", 1, 1.0, 1))
     basis = atoms.parse_sto(path)
-    d = atoms.density_derivs(basis, 1.0)
-    assert d.rho == pytest.approx(math.exp(-2.0) / math.pi, rel=1e-12)
-    assert d.d1 == pytest.approx(-2.0 * math.exp(-2.0) / math.pi, rel=1e-12)
+    rho, d1 = atoms.density_derivs(basis, 1.0)[:2]
+    assert rho == pytest.approx(math.exp(-2.0) / math.pi, rel=1e-12)
+    assert d1 == pytest.approx(-2.0 * math.exp(-2.0) / math.pi, rel=1e-12)
     half = atoms.density_derivs(basis, 0.5)
-    assert half.rho == pytest.approx(math.exp(-1.0) / math.pi, rel=1e-12)
+    assert half[0] == pytest.approx(math.exp(-1.0) / math.pi, rel=1e-12)
 
 
 def test_hydrogenic_kinetic_is_half_zeta_squared(tmp_path):
@@ -60,7 +60,7 @@ def test_single_zeta_helium_origin_density_and_kinetic(tmp_path):
     zeta = 1.6875
     path = _write_basis(tmp_path, _single_zeta("He", 2, zeta, 2))
     basis = atoms.parse_sto(path)
-    origin = atoms.density_derivs(basis, 1e-9).rho
+    origin = atoms.density_derivs(basis, 1e-9)[0]
     assert origin == pytest.approx(2.0 * zeta ** 3 / math.pi, rel=1e-6)
     assert origin == pytest.approx(3.0592, abs=1e-4)
     # Two electrons in one orbital: T = 2 * zeta^2 / 2.
@@ -74,6 +74,9 @@ def test_density_derivs_rejects_nonpositive_radius(tmp_path):
         atoms.density_derivs(basis, 0.0)
     with pytest.raises(ValueError, match="r > 0"):
         atoms.density_derivs(basis, -0.3)
+    # An array is named by its smallest radius, not printed whole.
+    with pytest.raises(ValueError, match=r"r > 0, got r=-1\.0$"):
+        atoms.density_derivs(basis, np.linspace(-1.0, 1.0, 1600))
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +230,7 @@ def test_derivatives_match_high_order_differences(element, atom_bundle):
     mp.mp.dps = 40
     try:
         for r in (0.1, 0.6, 2.0, 10.0):
-            d = atoms.density_derivs(basis, r)
-            mine = (d.d1, d.d2, d.d3, d.d4)
+            mine = atoms.density_derivs(basis, r)[1:]
             for order in range(1, 5):
                 ref = float(mp.diff(rho, mp.mpf(repr(r)), order))
                 assert mine[order - 1] == pytest.approx(ref, rel=1e-7), \
@@ -243,8 +245,8 @@ def test_density_model_wraps_basis(atom_bundle):
     assert model.electron_count == 2.0
     d = model.eval(1.3)
     direct = atoms.density_derivs(bundle.basis, 1.3)
-    assert d.rho == direct.rho
-    assert d.d4 == direct.d4
+    assert d[0] == direct[0]
+    assert d[4] == direct[4]
 
 
 # ---------------------------------------------------------------------------

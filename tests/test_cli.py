@@ -145,6 +145,12 @@ def test_version_flag(runner):
     (["dump", "--omega", "0.5"], "Missing option"),
     (["dump", "--omega", "0.5", "--csv", "x.csv", "--points", "1"],
      "at least 2"),
+    (["dump", "--basis", "he", "--csv", "x.csv", "--rmax", "inf"],
+     "--rmax must be finite"),
+    (["dump", "--basis", "he", "--csv", "x.csv", "--rmax", "1e-320"],
+     "rmax * 1e-4 is positive"),
+    (["dump", "--basis", "he", "--csv", "x.csv", "--rmax", "-1"],
+     "--rmax must be finite"),
 ])
 def test_usage_errors_exit_2(runner, args, fragment):
     result = runner.invoke(main, args)

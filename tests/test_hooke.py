@@ -38,12 +38,12 @@ def test_analytic_density_series_matches_closed_form_at_switch(
     h = 1e-9
     below = analytic_half.model.eval(0.5 - h)
     above = analytic_half.model.eval(0.5 + h)
-    rho_step = above.rho - below.rho
-    assert rho_step == pytest.approx(2.0 * h * below.d1,
-                                     abs=1e-12 * abs(below.rho))
-    d1_step = above.d1 - below.d1
-    assert d1_step == pytest.approx(2.0 * h * below.d2,
-                                    abs=1e-10 * abs(below.d1))
+    rho_step = above[0] - below[0]
+    assert rho_step == pytest.approx(2.0 * h * below[1],
+                                     abs=1e-12 * abs(below[0]))
+    d1_step = above[1] - below[1]
+    assert d1_step == pytest.approx(2.0 * h * below[2],
+                                    abs=1e-10 * abs(below[1]))
 
 
 def test_analytic_density_gaussian_tail_with_quadratic_prefactor(
@@ -335,8 +335,7 @@ def test_closed_form_profile_is_bit_invariant_to_batching(analytic_half):
     radii = np.sort(np.concatenate((switch,
                                     analytic_half.grid.positive_nodes[2:])))
     assert radii.size == 1600
-    d = model.eval(radii)
-    batch = np.array([d.rho, d.d1, d.d2, d.d3, d.d4])
+    batch = model.eval(radii)
     for i, radius in enumerate(radii):
         np.testing.assert_array_equal(model.profile(float(radius)),
                                       batch[:, i])

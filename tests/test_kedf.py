@@ -10,11 +10,13 @@ from hypothesis import given, strategies as st
 
 import cartesian_oracle
 from kedsum import kedf, profiles, radial
-from kedsum.radial import DensityDerivatives
+
+# The order of kedf.contractions' tuple.
+CONTRACTIONS = ("g2", "lap", "glap2", "lap4", "g_dot_glap", "g_hess2")
 
 
 def _derivs(rho, d1=0.0, d2=0.0, d3=0.0, d4=0.0):
-    return DensityDerivatives(rho=rho, d1=d1, d2=d2, d3=d3, d4=d4)
+    return np.array([rho, d1, d2, d3, d4])
 
 
 ORACLE_MODELS = {
@@ -25,18 +27,18 @@ ORACLE_MODELS = {
 
 
 # ---------------------------------------------------------------------------
-# Contractions
+# Gradient contractions
 # ---------------------------------------------------------------------------
 
 def test_laplacian_of_r_squared():
     c = kedf.contractions(_derivs(1.0, d1=2.0, d2=2.0), 1.0)
-    assert c.lap == pytest.approx(6.0, rel=0, abs=0)
+    assert c[CONTRACTIONS.index("lap")] == pytest.approx(6.0, rel=0, abs=0)
 
 
 def test_biharmonic_of_r_fourth():
     c = kedf.contractions(_derivs(1.0, d1=4.0, d2=12.0, d3=24.0, d4=24.0),
                           1.0)
-    assert c.lap4 == pytest.approx(120.0, rel=0, abs=0)
+    assert c[CONTRACTIONS.index("lap4")] == pytest.approx(120.0, rel=0, abs=0)
 
 
 def test_contractions_match_cartesian_oracle_for_gaussian():
@@ -44,8 +46,9 @@ def test_contractions_match_cartesian_oracle_for_gaussian():
     r = 0.7
     ref = cartesian_oracle.cartesian_taus("gaussian", r)
     c = kedf.contractions(model.eval(r), r)
-    for field in ("g2", "lap", "glap2", "lap4", "g_dot_glap", "g_hess2"):
-        assert getattr(c, field) == pytest.approx(ref[field], rel=1e-6)
+    assert len(c) == len(CONTRACTIONS)
+    for field, value in zip(CONTRACTIONS, c):
+        assert value == pytest.approx(ref[field], rel=1e-6)
 
 
 def test_contractions_require_positive_radius():
@@ -80,8 +83,8 @@ def test_tau2_exponential_density_identity():
 
 def test_tau2_gaussian_value():
     model = ORACLE_MODELS["gaussian"]
-    d = model.eval(1.0)
-    assert kedf.tau2(d.rho, d.d1 * d.d1) == pytest.approx(
+    rho, d1 = model.eval(1.0)[:2]
+    assert kedf.tau2(rho, d1 * d1) == pytest.approx(
         math.exp(-1.0) / 18.0, rel=1e-12)
 
 
@@ -108,7 +111,7 @@ def test_tau4_matches_oracle_tightly(name, r):
     model = ORACLE_MODELS[name]
     d = model.eval(r)
     ref = cartesian_oracle.cartesian_taus(name, r)
-    assert kedf.tau4(kedf.contractions(d, r), d.rho) == pytest.approx(
+    assert kedf.tau4(kedf.contractions(d, r), d[0]) == pytest.approx(
         ref["tau4"], rel=1e-8)
 
 
@@ -117,11 +120,11 @@ def test_tau4_matches_oracle_tightly(name, r):
 def test_tau4_tau6_oracle_grid(name, r):
     model = ORACLE_MODELS[name]
     d = model.eval(r)
-    assert d.rho > 1e-6
+    assert d[0] > 1e-6
     c = kedf.contractions(d, r)
     ref = cartesian_oracle.cartesian_taus(name, r)
-    assert kedf.tau4(c, d.rho) == pytest.approx(ref["tau4"], rel=1e-5)
-    assert kedf.tau6(c, d.rho) == pytest.approx(ref["tau6"], rel=1e-5)
+    assert kedf.tau4(c, d[0]) == pytest.approx(ref["tau4"], rel=1e-5)
+    assert kedf.tau6(c, d[0]) == pytest.approx(ref["tau6"], rel=1e-5)
 
 
 def test_tau4_tau6_amplitude_scaling_factor_two():
@@ -130,10 +133,10 @@ def test_tau4_tau6_amplitude_scaling_factor_two():
     d = model.eval(r)
     scaled = profiles.scale_density(model, 8.0).eval(r)
     c, cs = kedf.contractions(d, r), kedf.contractions(scaled, r)
-    assert kedf.tau4(cs, scaled.rho) == pytest.approx(
-        2.0 * kedf.tau4(c, d.rho), rel=1e-14)
-    assert kedf.tau6(cs, scaled.rho) == pytest.approx(
-        0.5 * kedf.tau6(c, d.rho), rel=1e-14)
+    assert kedf.tau4(cs, scaled[0]) == pytest.approx(
+        2.0 * kedf.tau4(c, d[0]), rel=1e-14)
+    assert kedf.tau6(cs, scaled[0]) == pytest.approx(
+        0.5 * kedf.tau6(c, d[0]), rel=1e-14)
 
 
 def test_terms_survive_deep_tail_without_underflow():
@@ -141,9 +144,8 @@ def test_terms_survive_deep_tail_without_underflow():
     r = 7.5  # rho ~ 4e-25: rho**2 is representable, rho**4 is not
     d = model.eval(r)
     p = kedf.tau_point(d, r)
-    assert all(math.isfinite(v) for v in
-               (p.tau0, p.tau2, p.tau4, p.tau6))
-    assert p.tau2 == pytest.approx(d.d1 * d.d1 / (72.0 * d.rho), rel=1e-12)
+    assert all(math.isfinite(v) for v in p)
+    assert p[1] == pytest.approx(d[1] * d[1] / (72.0 * d[0]), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -152,18 +154,18 @@ def test_terms_survive_deep_tail_without_underflow():
 
 def test_tau_point_uniform_density():
     p = kedf.tau_point(_derivs(1.0), 0.5)
-    assert p.tau0 == pytest.approx(2.871234, abs=1e-6)
-    assert (p.tau2, p.tau4, p.tau6) == (0.0, 0.0, 0.0)
+    assert p[0] == pytest.approx(2.871234, abs=1e-6)
+    assert list(p[1:]) == [0.0, 0.0, 0.0]
 
 
 def test_tau_point_exponential_density():
     model = profiles.exponential_density(1.0)
     p = kedf.tau_point(model.eval(2.0), 2.0)
-    assert p.tau2 == pytest.approx(math.exp(-2.0) / 72.0, rel=1e-12)
+    assert p[1] == pytest.approx(math.exp(-2.0) / 72.0, rel=1e-12)
     d = model.eval(2.0)
     c = kedf.contractions(d, 2.0)
-    assert p.tau4 == kedf.tau4(c, d.rho)
-    assert p.tau6 == kedf.tau6(c, d.rho)
+    assert p[2] == kedf.tau4(c, d[0])
+    assert p[3] == kedf.tau6(c, d[0])
 
 
 def test_hooke_density_has_ordered_convergence_window(analytic_half):
@@ -173,7 +175,8 @@ def test_hooke_density_has_ordered_convergence_window(analytic_half):
     ordered = []
     for r in radii:
         p = kedf.tau_point(model.eval(float(r)), float(r))
-        ordered.append(abs(p.tau6) < abs(p.tau4) < abs(p.tau2) < abs(p.tau0))
+        t0, t2, t4, t6 = np.abs(p)
+        ordered.append(t6 < t4 < t2 < t0)
     assert any(ordered)
     # The physical statement is a contiguous window, not isolated
     # points.
@@ -204,7 +207,7 @@ def test_integrated_tau4_of_oscillator_gaussians(omega, expected):
 
     def f(r):
         d = model.eval(r)
-        return kedf.tau4(kedf.contractions(d, r), d.rho)
+        return kedf.tau4(kedf.contractions(d, r), d[0])
 
     assert radial.integrate_radial(f, grid) == pytest.approx(expected,
                                                              rel=1e-9)
@@ -218,15 +221,13 @@ def test_pointwise_scaling_property(name, r, log_g):
     model = ORACLE_MODELS[name]
     base = kedf.tau_point(model.eval(r), r)
     scaled = kedf.tau_point(profiles.scale_density(model, g).eval(r), r)
-    for field, power in (("tau0", 5.0 / 3.0), ("tau2", 1.0),
-                         ("tau4", 1.0 / 3.0), ("tau6", -1.0 / 3.0)):
-        want = g ** power * getattr(base, field)
-        assert getattr(scaled, field) == pytest.approx(
-            want, rel=1e-12, abs=1e-290)
+    for row, power in enumerate((5.0 / 3.0, 1.0, 1.0 / 3.0, -1.0 / 3.0)):
+        want = g ** power * base[row]
+        assert scaled[row] == pytest.approx(want, rel=1e-12, abs=1e-290)
 
 
 @given(st.sampled_from(list(ORACLE_MODELS)), st.floats(0.05, 6.0))
 def test_tau0_tau2_nonnegative(name, r):
     p = kedf.tau_point(ORACLE_MODELS[name].eval(r), r)
-    assert p.tau0 >= 0.0
-    assert p.tau2 >= 0.0
+    assert p[0] >= 0.0
+    assert p[1] >= 0.0

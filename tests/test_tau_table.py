@@ -10,20 +10,16 @@ import numpy as np
 import pytest
 
 from kedsum import atoms, kedf, radial, resum
-from kedsum.kedf import TauPoint
 from kedsum.resum import PadePole
-
-FIELDS = ("tau0", "tau2", "tau4", "tau6")
 
 
 def _scalar_table(model, nodes):
-    points = [kedf.tau_point(model.eval(float(r)), float(r)) for r in nodes]
-    return np.array([[getattr(p, f) for p in points] for f in FIELDS])
+    return np.array([kedf.tau_point(model.eval(float(r)), float(r))
+                     for r in nodes]).T
 
 
 def _assert_table_matches_scalar(model, grid):
-    table = resum.tau_table(model, grid)
-    batched = np.array([getattr(table, f) for f in FIELDS])
+    batched = resum.tau_table(model, grid)
     nodes = grid.positive_nodes
     assert batched.shape == (4, nodes.size)
     np.testing.assert_allclose(batched, _scalar_table(model, nodes),
@@ -53,30 +49,37 @@ def test_tabulated_table_matches_scalar_path():
 
 
 def test_profile_takes_floats_and_arrays(atom_bundle):
+    """``eval`` returns the profile's jet as it is, and ``tau_point`` the
+    (4,) or (4, n) array of tau0, tau2, tau4 and tau6."""
     model = atom_bundle("he").model
     r = np.array([0.1, 1.0, 3.0])
-    assert model.profile(1.0).shape == (5,)
-    batch = model.eval(r)
-    assert batch.rho.shape == (3,)
-    assert batch.d4[1] == pytest.approx(model.eval(1.0).d4, rel=1e-13)
+    for radius, shape in ((1.0, (5,)), (r, (5, 3))):
+        jet = model.eval(radius)
+        assert type(jet) is np.ndarray and jet.shape == shape
+        np.testing.assert_array_equal(jet, model.profile(radius))
+        table = kedf.tau_point(jet, radius)
+        assert type(table) is np.ndarray and table.shape == (4,) + shape[1:]
+        rho, c = jet[0], kedf.contractions(jet, radius)
+        rows = (kedf.tau0(rho), kedf.tau2(rho, c[0]), kedf.tau4(c, rho),
+                kedf.tau6(c, rho))
+        for row, want in zip(table, rows):
+            np.testing.assert_array_equal(row, want)
+    assert jet[4, 1] == pytest.approx(model.eval(1.0)[4], rel=1e-13)
     assert model.rho(r)[2] == pytest.approx(model.rho(3.0), rel=1e-13)
 
 
 def test_batched_pade_keeps_removable_points():
-    p = TauPoint(np.array([3.0, 1.0]), np.array([0.0, 0.5]),
-                 np.array([0.0, 0.25]), np.array([9.9, 0.125]))
+    p = np.array([[3.0, 1.0], [0.0, 0.5], [0.0, 0.25], [9.9, 0.125]])
     np.testing.assert_array_equal(
-        resum.pade11(p), [3.0, resum.pade11(TauPoint(1.0, 0.5, 0.25, 0.125))])
+        resum.pade11(p), [3.0, resum.pade11(p[:, 1])])
     np.testing.assert_array_equal(
-        resum.pade21(p), [3.0, resum.pade21(TauPoint(1.0, 0.5, 0.25, 0.125))])
+        resum.pade21(p), [3.0, resum.pade21(p[:, 1])])
 
 
 def test_batched_pade_raises_on_a_true_pole():
-    p = TauPoint(np.array([1.0, 1.0]), np.array([0.5, 0.3]),
-                 np.array([0.25, 0.3]), np.array([0.125, 0.0]))
+    p = np.array([[1.0, 1.0], [0.5, 0.3], [0.25, 0.3], [0.125, 0.0]])
     with pytest.raises(PadePole):
         resum.pade11(p)
-    q = TauPoint(np.array([1.0, 1.0]), np.array([0.5, 0.3]),
-                 np.array([0.25, 0.2]), np.array([0.125, 0.2]))
+    q = np.array([[1.0, 1.0], [0.5, 0.3], [0.25, 0.2], [0.125, 0.2]])
     with pytest.raises(PadePole):
         resum.pade21(q)
