@@ -7,8 +7,9 @@ Usage:
 Produces ``hooke_table.csv`` (harmonically confined electron pairs at
 omega = 1/4, 1/2, 1, 4) and ``atoms_table.csv`` (He, Be, Ne, Ar from the
 bundled Slater bases) in OUT_DIR (default: current directory).  Every
-number is computed through the library API in this process; nothing is
-hard-coded, so the files double as a regression snapshot.
+row is computed in this process by ``kedsum.cli.hooke_row`` and
+``atom_row``, the functions behind ``kedsum hooke`` and ``kedsum atom``;
+nothing is hard-coded, so the files double as a regression snapshot.
 """
 
 import argparse
@@ -16,33 +17,12 @@ import csv
 import time
 from pathlib import Path
 
-from kedsum.atoms import bundled_basis, density_model, hf_kinetic, \
-    list_bundled
-from kedsum.hooke import table_density
-from kedsum.resum import error_columns, table_headers
+from kedsum.atoms import bundled_basis
+from kedsum.cli import atom_row, hooke_row
+from kedsum.resum import table_headers
 
 HOOKE_OMEGAS = (0.25, 0.5, 1.0, 4.0)
 ATOM_ORDER = ("he", "be", "ne", "ar")
-
-
-def hooke_rows():
-    rows = []
-    for omega in HOOKE_OMEGAS:
-        model, t_ref = table_density(omega)
-        rows.append([f"{omega:g}"] + error_columns(model, t_ref))
-    return rows
-
-
-def atom_rows():
-    rows = []
-    for key in ATOM_ORDER:
-        if key not in list_bundled():
-            continue
-        basis = bundled_basis(key)
-        t_ref = hf_kinetic(basis)
-        rows.append([basis.element]
-                    + error_columns(density_model(basis), t_ref))
-    return rows
 
 
 def write_table(path, first_header, rows):
@@ -65,8 +45,10 @@ def main():
     out_dir = parser.parse_args().out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.time()
-    write_table(out_dir / "hooke_table.csv", "omega", hooke_rows())
-    write_table(out_dir / "atoms_table.csv", "element", atom_rows())
+    write_table(out_dir / "hooke_table.csv", "omega",
+                [hooke_row(omega) for omega in HOOKE_OMEGAS])
+    write_table(out_dir / "atoms_table.csv", "element",
+                [atom_row(bundled_basis(key)) for key in ATOM_ORDER])
     print(f"done in {time.time() - start:.1f} s")
 
 

@@ -3,8 +3,9 @@
 Three subcommands: ``hooke`` prints one table row for a harmonically
 confined electron pair, ``atom`` does the same for a Slater-basis
 atomic density, and ``dump`` writes the raw tau terms radius by radius
-to CSV for plotting.  Exit codes: 0 success, 2 usage, 3 bad data,
-4 numerical failure.
+to CSV for plotting.  ``hooke_row`` and ``atom_row`` compute the table
+rows, for the two commands and for ``scripts/make_tables.py`` alike.
+Exit codes: 0 success, 2 usage, 3 bad data, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -34,29 +36,56 @@ EXIT_NUMERICAL = 4
 NUMERICAL_ERRORS = (QuadratureError, PrincipalValueError, PadePole)
 
 
+def hooke_row(omega: float, interacting: bool = True,
+              methods=ALL_METHODS) -> list[str]:
+    """One Hooke table row: omega, T_s and each method's percent error."""
+    model, t_ref = table_density(omega, interacting=interacting)
+    return [f"{omega:g}"] + error_columns(model, t_ref, methods)
+
+
+def atom_row(basis: STOBasisSet, methods=ALL_METHODS) -> list[str]:
+    """One atom table row: element, T_HF and each method's percent error."""
+    return [basis.element] + error_columns(density_model(basis),
+                                           hf_kinetic(basis), methods)
+
+
 def _fail(code: int, message: str):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
 
 
+@contextmanager
+def _exits(data=(), numerical=()):
+    """Exit 3 on a ``BasisError`` or one of ``data``; exit 4 on a solver
+    failure, on ``NUMERICAL_ERRORS`` or on one of ``numerical``."""
+    try:
+        yield
+    except SolverError as exc:
+        _fail(EXIT_NUMERICAL, f"solver failed: {exc}")
+    except (BasisError, *data) as exc:
+        _fail(EXIT_DATA, str(exc))
+    except (*NUMERICAL_ERRORS, *numerical) as exc:
+        _fail(EXIT_NUMERICAL, str(exc))
+
+
 def _parse_methods(spec: str) -> tuple[ResumMethod, ...]:
     if spec.strip().lower() == "all":
         return ALL_METHODS
-    methods = []
-    for token in spec.split(","):
-        if not token.strip():
-            continue
-        try:
-            methods.append(ResumMethod.parse(token))
-        except ValueError as exc:
-            raise click.BadParameter(str(exc))
+    try:
+        methods = tuple(ResumMethod.parse(token)
+                        for token in spec.split(",") if token.strip())
+    except ValueError as exc:
+        raise click.BadParameter(str(exc))
     if not methods:
         raise click.BadParameter("no methods given")
-    return tuple(methods)
+    return methods
 
 
-def _emit_row(headers, row, csv_path):
-    """Print an aligned row; mirror it to CSV when asked."""
+def _emit_row(headers, make_row, csv_path):
+    """Compute a row, print it aligned under its headers, and mirror it
+    to CSV when asked."""
+    with _exits():
+        row = make_row()
     widths = [max(len(h), len(v)) for h, v in zip(headers, row)]
     click.echo("  ".join(h.rjust(w) for h, w in zip(headers, widths)))
     click.echo("  ".join(v.rjust(w) for v, w in zip(row, widths)))
@@ -66,6 +95,15 @@ def _emit_row(headers, row, csv_path):
             writer.writerow(headers)
             writer.writerow(row)
         click.echo(f"wrote {csv_path}")
+
+
+_METHODS_OPTION = click.option(
+    "--methods", default="all", show_default=True,
+    help=f"Comma-separated subset of {','.join(m.value for m in ALL_METHODS)}"
+         f", or of the row labels {','.join(m.label for m in ALL_METHODS)}.")
+_CSV_OPTION = click.option(
+    "--csv", "csv_path", type=click.Path(dir_okay=False), default=None,
+    help="Also write the row to this CSV file.")
 
 
 @click.group()
@@ -79,24 +117,16 @@ def main():
               help="Confinement frequency (hartree).")
 @click.option("--non-interacting", is_flag=True, default=False,
               help="Drop the electron-electron repulsion.")
-@click.option("--methods", default="all", show_default=True,
-              help="Comma-separated subset of t0,t02,t024,pade11,pade21.")
-@click.option("--csv", "csv_path", type=click.Path(dir_okay=False),
-              default=None, help="Also write the row to this CSV file.")
+@_METHODS_OPTION
+@_CSV_OPTION
 def hooke(omega, non_interacting, methods, csv_path):
     """One accuracy-table row for a harmonically confined pair."""
     if not (omega > 0.0 and math.isfinite(omega)):
         raise click.BadParameter("--omega must be positive")
     method_list = _parse_methods(methods)
-    try:
-        model, t_ref = table_density(omega, interacting=not non_interacting)
-        cells = error_columns(model, t_ref, method_list)
-    except SolverError as exc:
-        _fail(EXIT_NUMERICAL, f"solver failed: {exc}")
-    except NUMERICAL_ERRORS as exc:
-        _fail(EXIT_NUMERICAL, str(exc))
     _emit_row(table_headers("omega", "T_s", method_list),
-              [f"{omega:g}"] + cells, csv_path)
+              lambda: hooke_row(omega, not non_interacting, method_list),
+              csv_path)
 
 
 def _load_basis(spec: str) -> STOBasisSet:
@@ -113,25 +143,13 @@ def _load_basis(spec: str) -> STOBasisSet:
 @main.command()
 @click.option("--basis", required=True,
               help="Basis JSON path, or a bundled element key (e.g. ne).")
-@click.option("--methods", default="all", show_default=True,
-              help="Comma-separated subset of t0,t02,t024,pade11,pade21.")
-@click.option("--csv", "csv_path", type=click.Path(dir_okay=False),
-              default=None, help="Also write the row to this CSV file.")
+@_METHODS_OPTION
+@_CSV_OPTION
 def atom(basis, methods, csv_path):
     """One accuracy-table row for a Slater-basis atomic density."""
     method_list = _parse_methods(methods)
-    try:
-        basis_set = _load_basis(basis)
-    except BasisError as exc:
-        _fail(EXIT_DATA, str(exc))
-    try:
-        model = density_model(basis_set)
-        t_ref = hf_kinetic(basis_set)
-        cells = error_columns(model, t_ref, method_list)
-    except NUMERICAL_ERRORS as exc:
-        _fail(EXIT_NUMERICAL, str(exc))
     _emit_row(table_headers("element", "T_HF", method_list),
-              [basis_set.element] + cells, csv_path)
+              lambda: atom_row(_load_basis(basis), method_list), csv_path)
 
 
 DUMP_COLUMNS = ["r", "rho", "tau0", "tau2", "tau4", "tau6",
@@ -139,8 +157,7 @@ DUMP_COLUMNS = ["r", "rho", "tau0", "tau2", "tau4", "tau6",
 
 
 def _dump_model(omega, basis, table) -> tuple[DensityModel, np.ndarray | None]:
-    sources = sum(x is not None for x in (omega, basis, table))
-    if sources != 1:
+    if sum(x is not None for x in (omega, basis, table)) != 1:
         raise click.UsageError(
             "pick exactly one of --omega, --basis, --table")
     if omega is not None:
@@ -171,46 +188,49 @@ def dump(omega, basis, table, rmax, points, csv_path):
     """Write per-radius tau terms and resummations to CSV."""
     if points < 2:
         raise click.BadParameter("--points must be at least 2")
-    try:
+    with _exits(data=(ValueError, OSError)):
         model, native_r = _dump_model(omega, basis, table)
-    except (BasisError, ValueError, OSError) as exc:
-        _fail(EXIT_DATA, str(exc))
-    except SolverError as exc:
-        _fail(EXIT_NUMERICAL, f"solver failed: {exc}")
-    except QuadratureError as exc:
-        _fail(EXIT_NUMERICAL, str(exc))
-
-    if native_r is not None and rmax is None:
-        radii = native_r
-    else:
-        if rmax is None:
-            rmax = grid_for_density(model).r_max
-        elif not (math.isfinite(rmax) and rmax * 1e-4 > 0.0):
+    if rmax is not None:
+        if not (math.isfinite(rmax) and rmax * 1e-4 > 0.0):
             raise click.BadParameter(
                 f"--rmax must be finite, and large enough that the first "
                 f"radius rmax * 1e-4 is positive; got {rmax:g}")
-        elif model.r_support is not None and rmax > model.r_support:
+        if model.r_support is not None and rmax > model.r_support:
             raise click.BadParameter(
                 f"--rmax {rmax:g} lies beyond the density's support "
                 f"radius {model.r_support:.6g} bohr")
-        radii = np.geomspace(rmax * 1e-4, rmax, points)
+        if native_r is not None and rmax * 1e-4 < native_r[0]:
+            raise click.BadParameter(
+                f"--rmax {rmax:g} puts the first radius {rmax * 1e-4:.6g} "
+                f"below the table's first radius {native_r[0]:.6g} bohr")
 
-    try:
+    pades = (ResumMethod.PADE11, ResumMethod.PADE21)
+    with _exits(numerical=(ValueError,)):
         grid = grid_for_density(model)
+        if rmax is None and native_r is not None:
+            radii = native_r
+        else:
+            rmax = grid.r_max if rmax is None else rmax
+            radii = np.geomspace(rmax * 1e-4, rmax, points)
         table = tau_table(model, grid)
         near_pole = {}
-        for method in ALL_METHODS:
-            near = np.zeros(radii.shape, dtype=bool)
-            for pole in method_poles(model, method, grid, table):
-                near |= np.abs(radii - pole) < PV_WINDOW_FRACTION * pole
-            near_pole[f"{method.value}-pole"] = near
-        jet = model.eval(radii)
-        p = tau_point(jet, radii)
-        # sum2, sum4, pade11, pade21: every method after T0 (= tau0).
-        columns = np.array([radii, jet[0], *p]
-                           + [EVALUATORS[m](p) for m in ALL_METHODS[1:]])
-    except (*NUMERICAL_ERRORS, ValueError) as exc:
-        _fail(EXIT_NUMERICAL, str(exc))
+        for method in pades:
+            poles = np.array(method_poles(model, method, grid, table))
+            near_pole[f"{method.value}-pole"] = np.any(
+                np.abs(radii[:, None] - poles) < PV_WINDOW_FRACTION * poles,
+                axis=1)
+        # Overflow at tiny radii is refused below as a non-finite column.
+        with np.errstate(all="ignore"):
+            jet = model.eval(radii)
+            p = tau_point(jet, radii)
+            columns = np.array(
+                [radii, jet[0], *p] + [EVALUATORS[m](p) for m in (
+                    ResumMethod.T02, ResumMethod.T024, *pades)])
+        bad = np.argwhere(~np.isfinite(columns.T))
+        if bad.size:
+            i, k = bad[0]
+            raise ValueError(f"dump column {DUMP_COLUMNS[k]} is not finite "
+                             f"at r={radii[i]:.12g} (got {columns[k, i]})")
 
     rows = [[f"{c:.12g}" for c in cells]
             + [" ".join(f for f, near in near_pole.items() if near[i])]

@@ -270,12 +270,10 @@ def grid_for_density(model: DensityModel) -> RadialGrid:
 
     jet = model.eval(radii)
     live = jet[0] > 0.0
-    r, jet = radii[live], jet[:, live]
-    rho = jet[0]
-    c = kedf.contractions(jet, r)
+    r = radii[live]
+    p = kedf.tau_point(jet[:, live], r)
     weight = np.zeros(radii.size)
-    weight[live] = FOUR_PI * r * r * (kedf.tau0(rho) + kedf.tau2(rho, c[0])
-                                      + np.abs(kedf.tau4(c, rho)))
+    weight[live] = FOUR_PI * r * r * (p[0] + p[1] + np.abs(p[2]))
     # Not "<=": a NaN weight ends the ladder, as any non-positive rho does.
     below = ~(weight > TAIL_TOLERANCE)
     if np.any(below):

@@ -51,21 +51,15 @@ class ResumMethod(enum.Enum):
 
     @classmethod
     def parse(cls, token: str) -> "ResumMethod":
-        key = token.strip().lower().replace("+", "").replace("/", "")
-        key = key.replace("[", "").replace("]", "")
-        aliases = {
-            "t0": cls.T0,
-            "t02": cls.T02,
-            "t0t2": cls.T02,
-            "t024": cls.T024,
-            "t0t2t4": cls.T024,
-            "pade11": cls.PADE11,
-            "11": cls.PADE11,
-            "pade21": cls.PADE21,
-            "21": cls.PADE21,
-        }
+        """The method named by its value (``pade11``), its row label
+        (``T[1/1]``) or a Pade order alone (``11``), in any case; the
+        characters ``+/[]`` are ignored."""
+        strip = str.maketrans("", "", "+/[]")
+        aliases = {"11": cls.PADE11, "21": cls.PADE21}
+        for m in cls:
+            aliases[m.value] = aliases[m.label.lower().translate(strip)] = m
         try:
-            return aliases[key]
+            return aliases[token.strip().lower().translate(strip)]
         except KeyError:
             raise ValueError(f"unknown method {token!r}; choose from "
                              f"{', '.join(m.value for m in cls)}") from None

@@ -6,6 +6,7 @@ comparisons against published numbers live in the acceptance suite.
 """
 
 import csv
+import importlib.util
 import json
 import os
 import re
@@ -19,6 +20,7 @@ import pytest
 from click.testing import CliRunner
 
 import kedsum
+from kedsum.atoms import BasisError
 from kedsum.cli import DUMP_COLUMNS, main
 from kedsum.hooke import SolverError
 from kedsum.radial import grid_for_density, load_density_table, \
@@ -335,6 +337,32 @@ def test_dump_numerical_failure_exits_4(runner, tmp_path, monkeypatch):
     assert "denominator is not finite at r=1.5" in result.output
 
 
+def test_dump_refuses_non_finite_columns(runner, tmp_path):
+    # At r = 1e-304, 1/r^2 overflows and tau4 reads inf.
+    target = tmp_path / "he.csv"
+    result = runner.invoke(main, ["dump", "--basis", "he", "--rmax", "1e-300",
+                                  "--points", "3", "--csv", str(target)])
+    assert result.exit_code == 4, result.output
+    assert "column tau4 is not finite at r=1e-304" in result.output
+    assert not target.exists()
+
+
+def test_dump_table_rmax_below_first_sample_is_a_usage_error(runner,
+                                                            tmp_path):
+    # The spline extrapolates below the table's first radius.
+    table = tmp_path / "he.dat"
+    r = np.geomspace(1e-2, 20.0, 200)
+    np.savetxt(table, np.c_[r, np.exp(-2.0 * r)])
+    target = tmp_path / "out.csv"
+    result = runner.invoke(main, ["dump", "--table", str(table),
+                                  "--rmax", "10", "--points", "5",
+                                  "--csv", str(target)])
+    assert result.exit_code == 2, result.output
+    assert "first radius 0.001 below the table's first radius 0.01" \
+        in result.output
+    assert not target.exists()
+
+
 def test_dump_flags_every_pole_that_integration_reports(runner, tmp_path,
                                                         atom_bundle):
     target = tmp_path / "he.csv"
@@ -375,6 +403,30 @@ def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
         assert done.stdout.splitlines()[-1] == "[]", done.stdout
     assert done.stdout.startswith("element")
     assert "\n  0.5 " in done.stdout, done.stdout
+
+
+def test_dump_non_finite_columns_exit_4_under_warnings_as_errors(tmp_path):
+    done = _python(["-W", "error", "-m", "kedsum.cli", "dump", "--basis", "he",
+                    "--rmax", "1e-300", "--points", "3", "--csv", "he.csv"],
+                   tmp_path)
+    assert done.returncode == 4, done.stderr
+    assert "column tau4 is not finite at r=1e-304" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_make_tables_fails_on_a_missing_basis(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "make_tables", ROOT / "scripts" / "make_tables.py")
+    make_tables = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_tables)
+    monkeypatch.setattr(make_tables, "HOOKE_OMEGAS", (0.5,))
+    monkeypatch.setattr(make_tables, "ATOM_ORDER", ("he", "xx"))
+    monkeypatch.setattr(sys, "argv", ["make_tables.py", str(tmp_path)])
+    with pytest.raises(BasisError, match="no bundled basis for 'xx'"):
+        make_tables.main()
+    assert (tmp_path / "hooke_table.csv").exists()
+    assert not (tmp_path / "atoms_table.csv").exists()
 
 
 def test_make_tables_help_writes_nothing(tmp_path):

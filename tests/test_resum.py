@@ -103,6 +103,11 @@ def test_method_parse_aliases():
     assert ResumMethod.parse("T0+T2") is ResumMethod.T02
     assert ResumMethod.parse("pade21") is ResumMethod.PADE21
     assert ResumMethod.parse("[1/1]") is ResumMethod.PADE11
+    # Every value and every printed row label names its method.
+    for method in resum.ALL_METHODS:
+        assert ResumMethod.parse(method.value) is method
+        assert ResumMethod.parse(method.label) is method
+        assert ResumMethod.parse(f" {method.label.lower()} ") is method
     with pytest.raises(ValueError, match="unknown method"):
         ResumMethod.parse("t6")
 
