@@ -331,7 +331,8 @@ def _density_jet(basis: STOBasisSet, r) -> np.ndarray:
 def density_model(basis: STOBasisSet) -> DensityModel:
     """Wrap a basis set as a DensityModel for the expansion pipeline."""
     return DensityModel(
-        profile=blockwise(lambda r: _density_jet(basis, r)),
+        profile=blockwise(lambda r: _density_jet(basis, r),
+                          jets.ORDERS * basis._primitive_table[0].size),
         electron_count=basis.electron_count,
         label=f"rhf({basis.element})",
     )

@@ -208,7 +208,7 @@ def dump(omega, basis, table, rmax, points, csv_path):
     with _exits(numerical=(ValueError,)):
         grid = grid_for_density(model)
         if rmax is None and native_r is not None:
-            radii = native_r
+            radii = native_r[native_r > 0.0]
         else:
             rmax = grid.r_max if rmax is None else rmax
             radii = np.geomspace(rmax * 1e-4, rmax, points)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -407,11 +407,11 @@ def _reconstruct_density(omega: float, s: np.ndarray, u: np.ndarray,
         (w_of_s * np.exp(-c * t * (2.0 * a[:, None] + t))).T)
     scale = pref * np.cumprod([1.0] + [-sqrt_c] * (jets.ORDERS - 1))[:, None]
 
-    @blockwise
+    @partial(blockwise, width=jets.ORDERS * 2 * quad_panels)
     def far(r: np.ndarray) -> np.ndarray:
-        # Arrays are at most (5, 2, r.size, quad_panels), and
-        # blockwise keeps r.size to EVAL_BLOCK.  einsum without
-        # optimize makes no BLAS call, and each sum keeps its order.
+        # Arrays are at most (5, 2, r.size, quad_panels), the width
+        # blockwise sizes r.size by.  einsum without optimize makes
+        # no BLAS call, and each sum keeps its order.
         # a_p and the offset factors (2 y_i)^j exp(+-2c r t_i), with the
         # + or - of the difference, are rebuilt on every call, which
         # costs little and keeps the model small.

@@ -96,19 +96,17 @@ _TINY = np.finfo(float).tiny
 # rows of the accuracy tables.
 TAIL_TOLERANCE = 3e-13
 
-# ``blockwise`` profiles take an array of radii this many at a time.
-# Only the two kernels whose temporaries grow with the batch use it:
-# the atomic density (``(5, n, distinct primitives)`` arrays) and the
-# Hooke panel sum (``(5, 2, n, 72)``).  Unblocked, one 1,600-radius
-# evaluation peaks at about 4.1 MB of temporaries on Ar and 27 MB on
-# Hooke, against 0.14 and 0.5 MB at 16.  The tabulated spline, the
-# omega = 1/2 closed form and the test profiles hold nothing per radius
-# beyond the jet itself, so they take whole arrays.  16 is the
-# conservative choice: in three paired 30 s benchmark runs per workload
-# on a 2-core VM, before the atom kernel took distinct primitives, 64
-# cut the pass by 24% on atoms and 23% on hooke but raised peak RSS by
-# 1.3-1.4%.
-EVAL_BLOCK = 16
+# Floats one ``blockwise`` kernel call may put in each of its largest
+# per-radius arrays.  Only the two kernels whose temporaries grow with
+# the batch use it: the atomic density (``(5, n, distinct primitives)``,
+# 60 floats a radius on Ar, so 273 radii a call) and the Hooke panel sum
+# (``(5, 2, n, quad_panels)``, 22 radii at 72 panels and 11 at 144).
+# On a 2-core VM, a pass over the atom rows took 0.167 s at 17 Ar radii
+# a call, 0.120 s at 68, 0.110 s at 273 and 0.116 s at 546.  With every
+# temporary of a call, one 1,600-radius evaluation peaks at 0.75 MB on
+# Ar and 0.64 MB on Hooke, against 4.1 and 27 MB unblocked.
+# The tabulated spline and the closed forms take whole arrays.
+BLOCK_FLOATS = 2 ** 14
 
 # Principal-value window: delta = min(PV_WINDOW_FRACTION * r_pole,
 # half the distance to the nearest pole or domain endpoint).
@@ -166,16 +164,17 @@ class DensityModel:
         return self.profile(np.asarray(r, dtype=float))[0]
 
 
-def blockwise(profile: Callable) -> Callable:
-    """``profile``, taken EVAL_BLOCK radii at a time on larger arrays."""
+def blockwise(profile: Callable, width: int) -> Callable:
+    """``profile`` on BLOCK_FLOATS // width radii a call, for a kernel
+    whose largest arrays hold ``width`` floats a radius."""
+    block = max(1, BLOCK_FLOATS // width)
 
     def blocked(r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        if r.size <= EVAL_BLOCK:
+        if r.size <= block:
             return profile(r)
-        return np.concatenate([profile(r[i:i + EVAL_BLOCK])
-                               for i in range(0, r.size, EVAL_BLOCK)],
-                              axis=1)
+        return np.concatenate([profile(r[i:i + block])
+                               for i in range(0, r.size, block)], axis=1)
 
     return blocked
 

@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from kedsum import atoms
+from kedsum import atoms, jets, radial
 from kedsum.radial import grid_for_density, integrate_radial
 
 BUNDLED = ("ar", "be", "he", "ne")
@@ -259,12 +259,38 @@ JET_RADII = (1e-3, 0.05, 0.3, 1.0, 3.0, 10.0, 25.0)
 @pytest.mark.parametrize("element", BUNDLED)
 def test_profile_is_bit_invariant_to_batching(element, atom_bundle):
     # The grid's radii and each one's next float up, alone and in one
-    # batch: the batch is taken EVAL_BLOCK radii at a time.
+    # batch: the batch is taken a few hundred radii at a time.
     bundle = atom_bundle(element)
     nodes = bundle.grid.positive_nodes
     radii = np.concatenate((nodes, np.nextafter(nodes, np.inf)))
     batch = bundle.model.profile(radii)
     single = np.array([bundle.model.profile(float(r)) for r in radii]).T
+    np.testing.assert_array_equal(single, batch)
+
+
+# Ar's 12 distinct primitives make the kernel's (5, n, 12) arrays
+# 60 floats a radius wide.
+AR_BLOCK = radial.BLOCK_FLOATS // (jets.ORDERS * 12)
+
+
+@pytest.mark.parametrize("size", [AR_BLOCK - 1, AR_BLOCK, AR_BLOCK + 1,
+                                  2 * AR_BLOCK + 3])
+def test_ar_kernel_blocks_are_bit_invariant(size, monkeypatch):
+    # Batches either side of one and two blocks are cut where the budget
+    # says, and each radius gets the jet it gets alone.
+    model = atoms.density_model(atoms.bundled_basis("ar"))
+    radii = np.geomspace(1e-3, 30.0, size)
+    sizes, kernel = [], atoms._density_jet
+
+    def counted(basis, r):
+        sizes.append(r.size)
+        return kernel(basis, r)
+
+    monkeypatch.setattr(atoms, "_density_jet", counted)
+    batch = model.profile(radii)
+    assert sizes == [min(AR_BLOCK, size - i)
+                     for i in range(0, size, AR_BLOCK)]
+    single = np.array([model.profile(float(r)) for r in radii]).T
     np.testing.assert_array_equal(single, batch)
 
 

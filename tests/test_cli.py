@@ -363,6 +363,21 @@ def test_dump_table_rmax_below_first_sample_is_a_usage_error(runner,
     assert not target.exists()
 
 
+def test_dump_table_skips_a_first_radius_of_zero(runner, tmp_path):
+    # The table reader accepts r = 0, where the tau terms divide by r;
+    # the dump writes every positive radius of the table.
+    table = tmp_path / "origin.dat"
+    r = np.concatenate(([0.0], np.geomspace(1e-3, 20.0, 200)))
+    np.savetxt(table, np.c_[r, np.exp(-2.0 * r)])
+    target = tmp_path / "out.csv"
+    result = runner.invoke(main, ["dump", "--table", str(table),
+                                  "--csv", str(target)])
+    assert result.exit_code == 0, result.output
+    _, rows = _read_dump(target)
+    assert len(rows) == 200
+    assert float(rows[0][0]) == 1e-3
+
+
 def test_dump_flags_every_pole_that_integration_reports(runner, tmp_path,
                                                         atom_bundle):
     target = tmp_path / "he.csv"

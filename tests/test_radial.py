@@ -12,7 +12,7 @@ import pytest
 import scipy.integrate
 from hypothesis import assume, given, settings, strategies as st
 
-from kedsum import atoms, kedf, profiles, radial
+from kedsum import atoms, hooke, jets, kedf, profiles, radial
 from kedsum.radial import (
     PrincipalValueError,
     QuadratureError,
@@ -695,6 +695,29 @@ def test_atom_kernel_is_evaluated_in_blocks():
 def test_hooke_kernel_is_evaluated_in_blocks(hooke_solution):
     # Unblocked, the omega = 1/4 panel sum peaks at about 27 MB.
     assert _eval_peak_bytes(hooke_solution(0.25).density) < 2e6
+
+
+def test_convergence_run_hooke_kernel_is_evaluated_in_blocks():
+    # 144 panels double the floats a radius, and halve the radii a call.
+    solution = hooke.solve_general(hooke.HookeParams(omega=0.25),
+                                   quad_panels=144)
+    assert _eval_peak_bytes(solution.density) < 2e6
+
+
+# The omega = 1/4 panel sum's (5, 2, n, 72) arrays: 720 floats a radius.
+HOOKE_BLOCK = radial.BLOCK_FLOATS // (jets.ORDERS * 2 * 72)
+
+
+@pytest.mark.parametrize("size", [HOOKE_BLOCK - 1, HOOKE_BLOCK,
+                                  HOOKE_BLOCK + 1, 2 * HOOKE_BLOCK + 3])
+def test_hooke_kernel_blocks_are_bit_invariant(hooke_solution, size):
+    # Every radius lies above the series switch (0.28 bohr), so the
+    # panel sum takes the whole batch, a block at a time.
+    model = hooke_solution(0.25).density
+    radii = np.geomspace(0.5, 12.0, size)
+    batch = model.profile(radii)
+    single = np.array([model.profile(float(r)) for r in radii]).T
+    np.testing.assert_array_equal(single, batch)
 
 
 # ---------------------------------------------------------------------------
