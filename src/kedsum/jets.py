@@ -20,46 +20,26 @@ import numpy as np
 
 ORDERS = 5  # value plus four derivatives
 
-# Pascal's triangle rows used by the Leibniz rule.
-_BINOM = (
-    (1.0,),
-    (1.0, 1.0),
-    (1.0, 2.0, 1.0),
-    (1.0, 3.0, 3.0, 1.0),
-    (1.0, 4.0, 6.0, 4.0, 1.0),
-)
-
-
-# multiply's pairs (j, k - j) for j = 0..k//2, order by order, and their
-# weights: the binomial, halved on the diagonal j = k - j because the
-# symmetric pair sum counts a_j b_j twice there (exactly, by a power of 2).
-_PAIR_J, _PAIR_K_J, _PAIR_WEIGHT = (np.array(v) for v in zip(*[
-    (j, k - j, _BINOM[k][j] / (2.0 if 2 * j == k else 1.0))
-    for k in range(ORDERS) for j in range(k // 2 + 1)]))
-# For each order, up to three pair indices into the weighted terms; index
-# len(_PAIR_J) is an appended zero that pads the shorter orders.
-_NONE = len(_PAIR_J)
-_FIRST, _SECOND, _THIRD = (np.array(v) for v in zip(
-    (0, _NONE, _NONE), (1, _NONE, _NONE), (2, 3, _NONE), (4, 5, _NONE),
-    (6, 7, 8)))
-
 
 def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Leibniz product: (fg)^(k) = sum_j C(k,j) f^(j) g^(k-j).
 
     Terms j and k-j share a binomial and are added as a pair before the
     pairs are summed, so ``multiply(a, b)`` and ``multiply(b, a)`` round
-    identically even where the sum cancels.  All pairs of all orders are
-    formed in a few whole-array operations.
+    identically even where the sum cancels.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
                                np.asarray(b, dtype=float))
-    outer = a[:, None] * b[None, :]
-    pairs = (outer + outer.swapaxes(0, 1))[_PAIR_J, _PAIR_K_J]
-    weight = _PAIR_WEIGHT.reshape((-1,) + (1,) * (pairs.ndim - 1))
-    terms = np.concatenate((weight * pairs,
-                            np.zeros((1,) + pairs.shape[1:])))
-    return (terms[_FIRST] + terms[_SECOND]) + terms[_THIRD]
+    a0, a1, a2, a3, a4 = a
+    b0, b1, b2, b3, b4 = b
+    out = np.empty(a.shape)
+    out[0] = a0 * b0
+    out[1] = a0 * b1 + a1 * b0
+    out[2] = (a0 * b2 + a2 * b0) + 2.0 * (a1 * b1)
+    out[3] = (a0 * b3 + a3 * b0) + 3.0 * (a1 * b2 + a2 * b1)
+    out[4] = (((a0 * b4 + a4 * b0) + 4.0 * (a1 * b3 + a3 * b1))
+              + 6.0 * (a2 * b2))
+    return out
 
 
 def power(r, m: int) -> np.ndarray:

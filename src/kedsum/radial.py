@@ -6,7 +6,8 @@ the only geometry is the radial half-line.  This module owns:
 * ``DensityModel`` -- a density profile that maps radii to the
   ``(5, n)`` jet of rho and its first four radial derivatives, and
   ``blockwise`` for profiles whose temporaries grow with the batch,
-* ``RadialGrid`` -- scan nodes plus the integration cutoff,
+* ``RadialGrid`` -- power-spaced scan nodes up to the integration
+  cutoff, kept as their recipe ``(r_min, r_max, n)``,
 * ``integrate_radial`` -- adaptive quadrature of ``4 pi r^2 f(r)``,
 * ``find_poles`` -- sign changes of a denominator, narrowed by
   vectorised Illinois steps and finished by a secant step,
@@ -18,10 +19,10 @@ the only geometry is the radial half-line.  This module owns:
   ``(r, rho)`` samples by a quintic spline in ``log rho``.
 
 Quadrature is a globally adaptive Gauss-Kronrod 10/21 rule in numpy
-(``quad``) that evaluates each refinement round as one batch of radii;
-splines are FITPACK's, and ``tabulated_derivatives`` is the only place
-that imports scipy.  Both sit behind the interfaces above so callers
-never touch scipy directly.
+(``quad``) that evaluates each refinement round as one batch of radii.
+Splines are FITPACK's: ``tabulated_derivatives`` imports scipy when it
+is called, as the Hooke solver does for its LAPACK solve, root finder
+and spline, so atoms and closed forms never load scipy.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ TAIL_TOLERANCE = 3e-13
 # (``(5, 2, n, quad_panels)``, 22 radii at 72 panels and 11 at 144).
 # On a 2-core VM, a pass over the atom rows took 0.167 s at 17 Ar radii
 # a call, 0.120 s at 68, 0.110 s at 273 and 0.116 s at 546.  With every
-# temporary of a call, one 1,600-radius evaluation peaks at 0.75 MB on
+# temporary of a call, one 1,600-radius evaluation peaks at 0.49 MB on
 # Ar and 0.64 MB on Hooke, against 4.1 and 27 MB unblocked.
 # The tabulated spline and the closed forms take whole arrays.
 BLOCK_FLOATS = 2 ** 14
@@ -179,69 +180,41 @@ def blockwise(profile: Callable, width: int) -> Callable:
     return blocked
 
 
-def _checked_nodes(nodes) -> np.ndarray:
-    nodes = np.asarray(nodes, dtype=float)
-    if nodes.ndim != 1 or nodes.size < 2:
-        raise ValueError("grid needs at least two nodes")
-    if nodes[0] < 0.0:
-        raise ValueError("grid nodes must be nonnegative")
-    if np.any(np.diff(nodes) <= 0.0):
-        raise ValueError("grid nodes must be strictly increasing")
-    return nodes
-
-
 @dataclass(frozen=True)
 class RadialGrid:
-    """Strictly increasing scan nodes; the last node is the cutoff."""
+    """``n`` scan nodes clustered toward r_min as t**2.5, t in [0, 1].
 
-    nodes: np.ndarray
+    The grid keeps only its recipe and rebuilds its nodes on each read,
+    which takes microseconds: a caller can hold one grid per table row
+    for the memory of three numbers.  The last node is r_max, the
+    integration cutoff.
+    """
+
+    r_min: float
+    r_max: float
+    n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", _checked_nodes(self.nodes))
+        if not (0.0 <= self.r_min < self.r_max):
+            raise ValueError("need 0 <= r_min < r_max")
+        if self.n < 2:
+            raise ValueError("grid needs at least two nodes")
+        if np.any(np.diff(self.nodes) <= 0.0):
+            raise ValueError("grid nodes must be strictly increasing")
 
     @property
-    def r_max(self) -> float:
-        return float(self.nodes[-1])
+    def nodes(self) -> np.ndarray:
+        t = np.linspace(0.0, 1.0, self.n)
+        nodes = self.r_min + (self.r_max - self.r_min) * t ** 2.5
+        # r_min + (r_max - r_min) can round off r_max by an ulp.
+        nodes[-1] = self.r_max
+        return nodes
 
     @property
     def positive_nodes(self) -> np.ndarray:
         """The nodes with r > 0, where integrands are tabulated."""
-        return self.nodes[self.nodes > 0.0]
-
-    @classmethod
-    def power_spaced(cls, r_min: float, r_max: float, n: int,
-                     exponent: float = 2.5) -> "RadialGrid":
-        """Nodes clustered toward r_min as t**exponent, t in (0, 1].
-
-        The grid keeps only these four numbers and rebuilds its nodes on
-        each read, which takes microseconds: a caller can hold one grid
-        per table row for the memory of a few floats.
-        """
-        if not (0.0 <= r_min < r_max):
-            raise ValueError("need 0 <= r_min < r_max")
-        grid = _PowerSpacedGrid(r_min, r_max, n, exponent)
-        _checked_nodes(grid.nodes)
-        return grid
-
-
-class _PowerSpacedGrid(RadialGrid):
-    """``RadialGrid.power_spaced``'s grid: its recipe, not its nodes."""
-
-    def __init__(self, r_min: float, r_max: float, n: int,
-                 exponent: float):
-        object.__setattr__(self, "_recipe", (r_min, r_max, n, exponent))
-
-    @property
-    def nodes(self) -> np.ndarray:
-        r_min, r_max, n, exponent = self._recipe
-        t = np.linspace(0.0, 1.0, n)
-        return r_min + (r_max - r_min) * t ** exponent
-
-    @property
-    def r_max(self) -> float:
-        # nodes[-1], since t[-1] ** exponent is exactly 1.
-        r_min, r_max, _, _ = self._recipe
-        return float(r_min + (r_max - r_min))
+        nodes = self.nodes
+        return nodes[nodes > 0.0]
 
 
 def grid_for_density(model: DensityModel) -> RadialGrid:
@@ -282,7 +255,7 @@ def grid_for_density(model: DensityModel) -> RadialGrid:
     else:
         raise ValueError("tail rule did not terminate; density does "
                          "not decay")
-    return RadialGrid.power_spaced(r_max * 1e-5, r_max, 1600)
+    return RadialGrid(r_max * 1e-5, r_max, 1600)
 
 
 def _weighted(f: Callable, r):
@@ -707,6 +680,8 @@ def tabulated_derivatives(r: np.ndarray, rho: np.ndarray,
             "need at least 12")
     if np.any(np.diff(r) <= 0.0):
         raise ValueError("radii must be strictly increasing")
+    if r[0] < 0.0:
+        raise ValueError(f"negative radius r={r[0]:.8g}")
     if np.any(rho < 0.0):
         bad = r[rho < 0.0][0]
         raise ValueError(f"negative density sample at r={bad:.8g}")
@@ -736,6 +711,6 @@ def tabulated_derivatives(r: np.ndarray, rho: np.ndarray,
 
     model = DensityModel(profile=profile, electron_count=math.nan,
                          label=label, r_support=float(r[-1]))
-    count = integrate_radial(model.rho, RadialGrid(r if r[0] > 0.0
-                                                   else r[1:]))
+    # The count reads only the grid's cutoff, the last sample.
+    count = integrate_radial(model.rho, RadialGrid(0.0, float(r[-1]), 2))
     return replace(model, electron_count=count)

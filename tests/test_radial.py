@@ -32,30 +32,38 @@ FOUR_PI = 4.0 * math.pi
 # Grids
 # ---------------------------------------------------------------------------
 
-def test_power_spaced_grid_is_strictly_increasing():
-    grid = RadialGrid.power_spaced(1e-4, 30.0, 200)
+def test_radial_grid_is_strictly_increasing():
+    grid = RadialGrid(1e-4, 30.0, 200)
     assert grid.nodes[0] == pytest.approx(1e-4)
     assert grid.r_max == pytest.approx(30.0)
     assert np.all(np.diff(grid.nodes) > 0.0)
 
 
 def test_grid_rejects_bad_nodes():
-    with pytest.raises(ValueError):
-        RadialGrid(nodes=np.array([0.5, 0.4, 1.0]))
-    with pytest.raises(ValueError):
-        RadialGrid(nodes=np.array([-1.0, 0.5, 1.0]))
-    with pytest.raises(ValueError):
-        RadialGrid.power_spaced(1e-4, 30.0, 1)
+    for r_min, r_max in [(-1.0, 1.0), (1.0, 1.0), (2.0, 1.0),
+                         (0.0, math.nan)]:
+        with pytest.raises(ValueError, match="r_min < r_max"):
+            RadialGrid(r_min, r_max, 10)
+    with pytest.raises(ValueError, match="two nodes"):
+        RadialGrid(1e-4, 30.0, 1)
+    # A span of five ulps cannot hold 1,600 distinct nodes.
+    with pytest.raises(ValueError, match="strictly increasing"):
+        RadialGrid(1.0, 1.0 + 1e-15, 1600)
 
 
-def test_power_spaced_grid_keeps_its_recipe_not_its_nodes():
-    # The same nodes, bit for bit, as the array it used to store, but
-    # rebuilt on each read: a grid held per table row costs a few floats.
-    grid = RadialGrid.power_spaced(1e-4, 30.0, 1600)
+def test_radial_grid_keeps_its_recipe_not_its_nodes():
+    # The nodes are rebuilt on each read: a grid held per table row
+    # costs three numbers.
+    grid = RadialGrid(1e-4, 30.0, 1600)
     t = np.linspace(0.0, 1.0, 1600)
     np.testing.assert_array_equal(grid.nodes, 1e-4 + (30.0 - 1e-4) * t ** 2.5)
     assert grid.r_max == grid.nodes[-1]
     assert all(np.asarray(v).size < 10 for v in vars(grid).values())
+    # The cutoff is the last node even where r_min + (r_max - r_min)
+    # rounds off r_max.
+    r_max = 12.514307
+    assert r_max * 1e-5 + (r_max - r_max * 1e-5) != r_max
+    assert RadialGrid(r_max * 1e-5, r_max, 1600).nodes[-1] == r_max
 
 
 def _tail_weight(model, r):
@@ -106,13 +114,13 @@ def test_tail_rule_refuses_a_density_that_does_not_decay():
 
 def test_unit_gaussian_integrates_to_one():
     norm = math.pi ** -1.5
-    grid = RadialGrid.power_spaced(1e-6, 12.0, 400)
+    grid = RadialGrid(1e-6, 12.0, 400)
     value = integrate_radial(lambda r: norm * np.exp(-r * r), grid)
     assert value == pytest.approx(1.0, rel=1e-10)
 
 
 def test_unit_ball_volume():
-    grid = RadialGrid.power_spaced(1e-6, 1.0, 100)
+    grid = RadialGrid(1e-6, 1.0, 100)
     value = integrate_radial(lambda r: 1.0, grid)
     assert value == pytest.approx(4.0 * math.pi / 3.0, rel=1e-10)
 
@@ -120,7 +128,7 @@ def test_unit_ball_volume():
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 4.0])
 @pytest.mark.parametrize("n", range(7))
 def test_quadrature_exact_on_polynomial_exponentials(n, alpha):
-    grid = RadialGrid.power_spaced(1e-6, 60.0 / alpha, 300)
+    grid = RadialGrid(1e-6, 60.0 / alpha, 300)
     value = integrate_radial(lambda r: r ** n * np.exp(-alpha * r), grid)
     exact = FOUR_PI * math.factorial(n + 2) / alpha ** (n + 3)
     assert value == pytest.approx(exact, rel=1e-10)
@@ -129,7 +137,7 @@ def test_quadrature_exact_on_polynomial_exponentials(n, alpha):
 @settings(max_examples=20)
 @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
 def test_integrate_radial_is_linear(a, b):
-    grid = RadialGrid.power_spaced(1e-6, 14.0, 120)
+    grid = RadialGrid(1e-6, 14.0, 120)
     f = lambda r: np.exp(-r * r)
     g = lambda r: np.exp(-2.0 * r)
     combined = integrate_radial(lambda r: a * f(r) + b * g(r), grid)
@@ -212,7 +220,7 @@ def _helium_count():
 
 @pytest.mark.parametrize("integral", [
     lambda: integrate_radial(lambda r: np.exp(-r * r),
-                             RadialGrid.power_spaced(1e-6, 12.0, 400)),
+                             RadialGrid(1e-6, 12.0, 400)),
     _helium_count,
     lambda: principal_value_integrate(
         lambda r: np.exp(-r) / (r - 1.0) / (FOUR_PI * r * r), [1.0],
@@ -225,7 +233,7 @@ def test_quad_agrees_with_quadpack(integral, monkeypatch):
 
 
 def test_interior_singularity_raises_with_best_estimate():
-    grid = RadialGrid.power_spaced(1e-6, 1.0, 100)
+    grid = RadialGrid(1e-6, 1.0, 100)
     with pytest.raises(QuadratureError) as caught:
         integrate_radial(
             lambda r: np.abs(r - 1.0 / 3.0) ** -0.9 / (FOUR_PI * r * r),
@@ -274,23 +282,23 @@ def test_quad_counts_21_nodes_per_interval_in_one_call_per_round():
 # ---------------------------------------------------------------------------
 
 def test_find_poles_single_root():
-    grid = RadialGrid.power_spaced(1e-4, 2.0, 400)
+    grid = RadialGrid(1e-4, 2.0, 400)
     assert find_poles(lambda r: r - 1.0, grid) == pytest.approx([1.0])
 
 
 def test_find_poles_no_real_root():
-    grid = RadialGrid.power_spaced(1e-4, 2.0, 400)
+    grid = RadialGrid(1e-4, 2.0, 400)
     assert find_poles(lambda r: r * r + 1.0, grid) == []
 
 
 def test_find_poles_two_roots():
-    grid = RadialGrid.power_spaced(1e-4, 2.0, 400)
+    grid = RadialGrid(1e-4, 2.0, 400)
     roots = find_poles(lambda r: (r - 0.5) * (r - 1.5), grid)
     assert roots == pytest.approx([0.5, 1.5])
 
 
 def test_find_poles_rejects_non_finite_denominator():
-    grid = RadialGrid.power_spaced(1e-4, 2.0, 50)
+    grid = RadialGrid(1e-4, 2.0, 50)
     with pytest.raises(ValueError):
         find_poles(lambda r: np.where(r > 1.0, math.inf, 1.0), grid)
 
@@ -307,7 +315,7 @@ def _recording(denominator):
 
 
 def test_find_poles_steps_every_bracket_in_one_call_per_step():
-    grid = RadialGrid.power_spaced(1e-4, 2.0, 400)
+    grid = RadialGrid(1e-4, 2.0, 400)
     denominator, calls = _recording(lambda r: np.cos(8.0 * np.pi * r))
     poles = find_poles(denominator, grid)
     roots = (2.0 * np.arange(16) + 1.0) / 16.0
@@ -324,7 +332,7 @@ def test_find_poles_bisects_a_bracket_that_stops_halving():
     # exp(6e4 (r - 1)) - 1 spans e^300 across its bracket: each Illinois
     # halving moves the far end too little, so the bisection steps do
     # the narrowing.  Without them this takes more than 200 steps.
-    grid = RadialGrid.power_spaced(1e-4, 2.0, 400)
+    grid = RadialGrid(1e-4, 2.0, 400)
     denominator, calls = _recording(
         lambda r: np.expm1(np.minimum(6e4 * (r - 1.0), 300.0)))
     assert find_poles(denominator, grid) == pytest.approx(
@@ -335,9 +343,12 @@ def test_find_poles_bisects_a_bracket_that_stops_halving():
 
 
 def test_find_poles_closes_an_exact_zero_while_others_bisect():
-    # Linear below r = 1.84, so the first falsi point of [0.5, 1.5] is
-    # the root at 1.0 itself; the root at 2.3 is not reached in one step.
-    grid = RadialGrid(np.array([0.0, 0.5, 1.5, 2.0, 3.0]))
+    # The first two nodes are 0.5 and 0.5 + 32 * 0.25**2.5 = 1.5, both
+    # exact.  Linear below r = 1.84, so the first falsi point of
+    # [0.5, 1.5] is the root at 1.0 itself; the root at 2.3, bracketed
+    # by [1.5, 6.16], is not reached in one step.
+    grid = RadialGrid(0.5, 32.5, 5)
+    assert grid.nodes[:2].tolist() == [0.5, 1.5]
     denominator, calls = _recording(
         lambda r: np.minimum(r - 1.0, (2.3 - r) * r))
     poles = find_poles(denominator, grid)
@@ -353,7 +364,7 @@ def test_find_poles_closes_an_exact_zero_while_others_bisect():
 def test_find_poles_secant_finish_reaches_the_float_limit():
     # The steps stop at a 1e-12 * r_max bracket; the secant step through
     # its end values lands on the root itself.
-    grid = RadialGrid.power_spaced(1e-4, 2.0, 400)
+    grid = RadialGrid(1e-4, 2.0, 400)
     poles = find_poles(lambda r: np.cos(8.0 * np.pi * r), grid)
     roots = (2.0 * np.arange(16) + 1.0) / 16.0
     np.testing.assert_allclose(poles, roots, rtol=1e-14, atol=0.0)
@@ -364,7 +375,7 @@ def test_find_poles_secant_finish_reaches_the_float_limit():
 def test_find_poles_finds_every_simple_root(roots):
     roots = np.sort(roots)
     assume(np.all(np.diff(roots) >= 0.05))
-    grid = RadialGrid.power_spaced(1e-4, 2.0, 400)
+    grid = RadialGrid(1e-4, 2.0, 400)
     poles = find_poles(
         lambda r: np.prod(np.subtract.outer(r, roots), axis=-1), grid)
     assert len(poles) == roots.size
@@ -377,7 +388,7 @@ def test_find_poles_finds_every_simple_root(roots):
 # ---------------------------------------------------------------------------
 
 def _pv_grid():
-    return RadialGrid.power_spaced(1e-6, 2.0, 1200)
+    return RadialGrid(1e-6, 2.0, 1200)
 
 
 def _inverse_weight(numer):
@@ -607,6 +618,8 @@ def test_tabulated_rejects_bad_samples():
         tabulated_derivatives(r[::-1], np.exp(-r))
     with pytest.raises(ValueError):
         tabulated_derivatives(r, np.zeros_like(r))
+    with pytest.raises(ValueError, match="negative radius"):
+        tabulated_derivatives(r - 0.5, np.exp(-r))
 
 
 @pytest.mark.parametrize("factory,rmax", [
@@ -643,7 +656,7 @@ def test_tabulated_model_integrates_like_its_source():
     r = np.linspace(1e-3, 15.0, 500)
     tab = tabulated_derivatives(r, np.array([model.rho(float(x))
                                              for x in r]))
-    grid = RadialGrid.power_spaced(1e-3, 15.0, 600)
+    grid = RadialGrid(1e-3, 15.0, 600)
     count = integrate_radial(tab.rho, grid)
     assert count == pytest.approx(model.electron_count, rel=1e-6)
 
@@ -689,7 +702,7 @@ def _eval_peak_bytes(model) -> int:
 def test_atom_kernel_is_evaluated_in_blocks():
     # Unblocked, 1,600 Ar radii peak at about 4.1 MB of temporaries.
     model = atoms.density_model(atoms.bundled_basis("ar"))
-    assert _eval_peak_bytes(model) < 2e6
+    assert _eval_peak_bytes(model) < 6e5
 
 
 def test_hooke_kernel_is_evaluated_in_blocks(hooke_solution):

@@ -151,7 +151,7 @@ def test_integrate_pade21_on_hooke_half(analytic_half):
 def test_uniform_box_density_degenerates_all_methods():
     r = np.linspace(0.0, 2.0, 300)
     model = radial.tabulated_derivatives(r, np.full_like(r, 0.7))
-    grid = radial.RadialGrid.power_spaced(1e-4, 2.0, 800)
+    grid = radial.RadialGrid(1e-4, 2.0, 800)
     t0 = resum.integrate_method(model, ResumMethod.T0, grid).T
     expected = kedf.C_TF * 0.7 ** (5.0 / 3.0) * (4.0 / 3.0) * math.pi * 8.0
     assert t0 == pytest.approx(expected, rel=1e-10)
