@@ -7,10 +7,11 @@ omega; the relative s-wave radial equation
 
     -u'' + (omega^2/4) s^2 u + (lambda/s) u = eps u       (mu = 1/2)
 
-is solved here by Numerov integration with outward/inward matching.
-For omega = 1/2 the interacting ground state is known in closed form,
-which provides both an exact density (with four analytic derivatives)
-and an end-to-end check on the numerical route.
+is solved here by Chebyshev collocation on [0, s_max], with numpy's
+dense eigensolver and no scipy.  For omega = 1/2 the interacting
+ground state is known in closed form, which provides both an exact
+density (with four analytic derivatives) and an end-to-end check on
+the numerical route.
 
 The kinetic reference attached to solutions is the *non-interacting*
 (Kohn-Sham) kinetic energy of the ground-state density: for a
@@ -168,152 +169,99 @@ def analytic_density_omega_half() -> DensityModel:
 
 
 # ---------------------------------------------------------------------------
-# Numerov solver for the relative motion.
+# Chebyshev collocation for the relative motion.
+#
+# u is analytic on [0, inf) (its series at s = 0 has integer powers), so
+# its Chebyshev interpolant on [0, s_max] converges geometrically
+# (Trefethen, Spectral Methods in MATLAB, 2000).  One transform takes
+# values at the Chebyshev-Lobatto points to coefficients; it also gives
+# the second-derivative matrix, the interpolant and Clenshaw-Curtis
+# integrals.  Degree 60 resolves u to rounding for s_max up to about
+# 20/sqrt(omega).
 # ---------------------------------------------------------------------------
 
-def _series_start(s: np.ndarray, eps: float, omega: float,
-                  lam: float) -> np.ndarray:
-    """Five-term small-s series u = s + a2 s^2 + ... for the start-up."""
-    a2 = lam / 2.0
-    b3 = (lam * lam / 2.0 - eps) / 6.0
-    b4 = lam * (b3 - eps / 2.0) / 12.0
-    b5 = (lam * b4 - eps * b3 + omega * omega / 4.0) / 20.0
-    return s * (1.0 + s * (a2 + s * (b3 + s * (b4 + s * b5))))
+_DEGREE = 60
+_THETA = np.pi * np.arange(_DEGREE + 1) / _DEGREE
+_LOBATTO = -np.cos(_THETA)  # increasing from -1 to 1
+_ENDS = np.r_[0.5, np.ones(_DEGREE - 1), 0.5]
+# Values at _LOBATTO to Chebyshev coefficients: the DCT-I
+# a_k = (2/N) sum_j'' f_j T_k(x_j), with T_k(x_j) = cos(k (pi - theta_j))
+# and the end terms (j or k = 0, N) halved.
+_TO_COEFFS = ((2.0 / _DEGREE) * _ENDS[:, None] * _ENDS
+              * np.cos(np.outer(np.arange(_DEGREE + 1), np.pi - _THETA)))
+# d^2/dx^2 on [-1, 1]: differentiate the coefficients, evaluate at the
+# points.
+_SECOND_DERIVATIVE = (np.polynomial.chebyshev.chebvander(_LOBATTO,
+                                                         _DEGREE - 2)
+                      @ np.polynomial.chebyshev.chebder(_TO_COEFFS, 2))
+# int_-1^1 T_j dx = 2/(1 - j^2) for even j and 0 for odd j.
+_CC_MOMENTS = 2.0 / (1.0 - np.arange(0, _DEGREE + 1, 2) ** 2)
+# A coefficient tail above this fraction of the largest coefficient
+# means the degree does not resolve u (Aurentz and Trefethen,
+# "Chopping a Chebyshev series", ACM TOMS 43, 2017).
+_TAIL = 1e-13
+# Sign changes count only where |u| exceeds this fraction of its peak;
+# below it the deep tail is rounding noise.
+_NODE_FLOOR = 1e-8
 
 
-def _sweep(c: np.ndarray, start, direction: str, eps: float) -> np.ndarray:
-    """One Numerov sweep along ``c``, from its first two values ``start``.
+def _clenshaw_curtis(values: np.ndarray, s_max: float) -> float:
+    """int_0^s_max f ds from f at the Lobatto points of [0, s_max]."""
+    return 0.5 * s_max * float(np.dot((_TO_COEFFS @ values)[::2],
+                                      _CC_MOMENTS))
 
-    The recurrence c[j+1] u[j+1] = (12 - 10 c[j]) u[j] - c[j-1] u[j-1]
-    is a lower-triangular system with two sub-diagonals whose first two
-    rows are the identity; LAPACK's ``dtbtrs`` solves it by forward
-    substitution, which is the recurrence itself, without pivoting.
+
+def _lobatto_points(s_max: float) -> np.ndarray:
+    return 0.5 * s_max * (1.0 + _LOBATTO)
+
+
+def _solve_relative(omega: float, lam: float, s_max: float):
+    """Ground-state eigenvalue and normalized u(s) on [0, s_max].
+
+    u(0) = u(s_max) = 0, so the unknowns are u at the interior Lobatto
+    points and the ground state is the lowest eigenvalue of the dense
+    interior operator.  u comes back as its Chebyshev interpolant, a
+    ``numpy.polynomial.Chebyshev`` on the domain [0, s_max].
     """
 
-    from scipy.linalg.lapack import dtbtrs
+    s = _lobatto_points(s_max)
+    inner = s[1:-1]
+    operator = (-(2.0 / s_max) ** 2 * _SECOND_DERIVATIVE[1:-1, 1:-1]
+                + np.diag(0.25 * omega * omega * inner ** 2 + lam / inner))
+    values, vectors = np.linalg.eig(operator)
+    lowest = int(np.argmin(values.real))
+    eps = float(values.real[lowest])
+    u = np.zeros_like(s)
+    u[1:-1] = vectors[:, lowest].real
 
-    ab = np.empty((3, c.size))  # LAPACK lower band storage
-    ab[0] = c
-    ab[0, :2] = 1.0
-    ab[1] = 10.0 * c - 12.0
-    ab[1, 0] = 0.0
-    ab[2] = c
-    rhs = np.zeros((c.size, 1))
-    rhs[:2, 0] = start
-    u, info = dtbtrs(ab, rhs, uplo="L")
-    if info != 0:
-        raise SolverError(f"{direction} Numerov sweep at eps={eps:g}: "
-                          f"dtbtrs returned info={info}")
-    u = u[:, 0]
-    if not np.all(np.isfinite(u)):
-        raise SolverError(f"{direction} Numerov sweep at eps={eps:g} "
-                          "overflowed; the grid reaches too far into "
-                          "the classically forbidden region")
-    return u
-
-
-def _numerov_sweeps(eps: float, omega: float, lam: float,
-                    s: np.ndarray):
-    """Outward and inward Numerov solutions and the matching index.
-
-    The outward sweep starts from the small-s series at s[1] and s[2]
-    and runs to s[m+2]; the inward one starts from a decaying tail at
-    the last two nodes and runs down to s[m-2].  Each is one banded
-    triangular solve (``_sweep``), the inward one on the reversed grid.
-    """
-
-    h = s[1] - s[0]
-    n = s.size
-    w = np.empty(n)
-    w[0] = 0.0  # never used: u(0) = 0 kills the first coefficient
-    w[1:] = 0.25 * omega * omega * s[1:] ** 2 - eps
-    if lam != 0.0:
-        w[1:] += lam / s[1:]
-    c = 1.0 - (h * h / 12.0) * w
-
-    turning = 2.0 * math.sqrt(max(eps, 1e-12)) / omega
-    m = int(np.clip(turning / h, 0.15 * n, 0.70 * n))
-
-    u_out = np.zeros(n)
-    u_out[1:m + 3] = _sweep(c[1:m + 3], _series_start(s[1:3], eps, omega,
-                                                      lam), "outward", eps)
-    tail = (1e-18,
-            1e-18 * math.exp(omega * (2.0 * s[-1] * h - h * h) / 4.0))
-    u_in = np.zeros(n)
-    u_in[m - 2:] = _sweep(c[::-1][:n - m + 2], tail, "inward", eps)[::-1]
-    return u_out, u_in, m, h
-
-
-def _simpson(y: np.ndarray, s: np.ndarray) -> float:
-    """Composite Simpson rule for y on the uniform grid s (odd length)."""
-    if s.size % 2 == 0:
-        raise ValueError(f"Simpson's rule needs an odd number of points, "
-                         f"got {s.size}")
-    h = (s[-1] - s[0]) / (s.size - 1)
-    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2])
-                            + 2.0 * np.sum(y[2:-1:2])))
-
-
-def _wronskian(eps: float, omega: float, lam: float, s: np.ndarray) -> float:
-    """Matching determinant W = u_out' u_in - u_in' u_out at the seam.
-
-    Unlike a log-derivative mismatch, W is a smooth function of eps with
-    zeros exactly at the eigenvalues and no poles (a log-derivative has
-    one wherever u_out vanishes at the matching node, typically just
-    above each eigenvalue, which can hide the sign change from a coarse
-    scan).  Each sweep is normalized by its own peak near the seam so
-    the scan sees O(1) numbers; positive scalings do not move zeros.
-    """
-
-    u_out, u_in, m, h = _numerov_sweeps(eps, omega, lam, s)
-    scale_out = float(np.max(np.abs(u_out[m - 1:m + 2])))
-    scale_in = float(np.max(np.abs(u_in[m - 1:m + 2])))
-    if scale_out == 0.0 or scale_in == 0.0:
+    coeffs = _TO_COEFFS @ u
+    tail = float(np.max(np.abs(coeffs[-2:])) / np.max(np.abs(coeffs)))
+    if tail > _TAIL:
         raise SolverError(
-            f"dead matching window at eps={eps:g}: sweep vanished")
-    w = ((u_out[m + 1] - u_out[m - 1]) * u_in[m]
-         - (u_in[m + 1] - u_in[m - 1]) * u_out[m])
-    return w / (2.0 * h * scale_out * scale_in)
-
-
-def _solve_relative(omega: float, lam: float, n_points: int,
-                    s_max: float):
-    """Ground-state eigenvalue and normalized u(s) on a uniform grid."""
-    from scipy.optimize import brentq
-
-    s = np.linspace(0.0, s_max, n_points)
+            f"u is under-resolved on [0, {s_max:g}] at degree {_DEGREE}: "
+            f"its last Chebyshev coefficients are {tail:.2g} of the "
+            f"largest; keep s_max below about {20.0 / math.sqrt(omega):.3g} "
+            f"at omega={omega:g}")
     lo = 1.45 * omega
     hi = 1.5 * omega + 4.0 * math.sqrt(omega) + 4.0
-    scan = np.linspace(lo, hi, 90)
-    bracket = None
-    prev_eps, prev_w = scan[0], _wronskian(scan[0], omega, lam, s)
-    for eps in scan[1:]:
-        cur = _wronskian(eps, omega, lam, s)
-        if prev_w * cur <= 0.0:
-            bracket = (prev_eps, eps)
-            break
-        prev_eps, prev_w = eps, cur
-    if bracket is None:
+    if not lo <= eps <= hi:
         raise SolverError(
-            f"no ground-state bracket for omega={omega:g}, lambda={lam:g} "
-            f"in [{lo:g}, {hi:g}]")
-    eps = brentq(_wronskian, bracket[0], bracket[1],
-                 args=(omega, lam, s), xtol=1e-13, rtol=8.9e-16)
+            f"lowest eigenvalue eps={eps:.10g} for omega={omega:g}, "
+            f"lambda={lam:g} lies outside the ground-state bracket "
+            f"[{lo:g}, {hi:g}]")
 
-    u_out, u_in, m, h = _numerov_sweeps(eps, omega, lam, s)
-    u = np.empty_like(s)
-    u[:m + 1] = u_out[:m + 1]
-    u[m:] = u_in[m:] * (u_out[m] / u_in[m])
-    norm = _simpson(u * u, s)
-    u /= math.sqrt(norm)
+    scale = 1.0 / math.sqrt(_clenshaw_curtis(u * u, s_max))
     if u[np.argmax(np.abs(u))] < 0.0:
-        u = -u
-    nodes = int(np.count_nonzero(u[1:-1] * u[2:] < 0.0))
+        scale = -scale
+    u *= scale
+    live = u[np.abs(u) > _NODE_FLOOR * np.max(np.abs(u))]
+    nodes = int(np.count_nonzero(live[:-1] * live[1:] < 0.0))
     if nodes != 0:
         raise SolverError(
-            f"matched state at eps={eps:.10g} has {nodes} interior nodes; "
+            f"lowest state at eps={eps:.10g} has {nodes} interior nodes; "
             "expected the nodeless ground state")
-    return float(eps), s, u
+    return eps, np.polynomial.Chebyshev(scale * coeffs,
+                                        domain=[0.0, s_max])
 
 
 # ---------------------------------------------------------------------------
@@ -362,21 +310,19 @@ _ADDITION = np.tile([[float(math.comb(k, j) * (m + j == k))
                      for k in range(jets.ORDERS)], 2)
 
 
-def _reconstruct_density(omega: float, s: np.ndarray, u: np.ndarray,
-                         label: str, quad_panels: int = 72,
+def _reconstruct_density(omega: float, u, s_max: float, label: str,
+                         quad_panels: int = 72,
                          panel_order: int = 12) -> DensityModel:
-    """rho = C J(r)/r from u(s) on the uniform grid ``s``.
+    """rho = C J(r)/r from the relative state u(s) on [0, s_max].
 
-    u is read through a quintic spline at the Gauss-Legendre nodes of
-    ``quad_panels`` equal panels of ``panel_order`` points on
-    [0, s[-1]].  From ``switch`` on, the jet of J is the panel sum
-    factorised as above; below it, an odd Taylor series from the
-    moments J^(k)(0).  The profile keeps no array larger than the
-    (panel_order, quad_panels) weights, since callers may hold many
-    models at once.
+    u is a callable, the solver's Chebyshev interpolant or a closed
+    form, read at the Gauss-Legendre nodes of ``quad_panels`` equal
+    panels of ``panel_order`` points on [0, s_max].  From ``switch``
+    on, the jet of J is the panel sum factorised as above; below it, an
+    odd Taylor series from the moments J^(k)(0).  The profile keeps no
+    array larger than the (panel_order, quad_panels) weights, since
+    callers may hold many models at once.
     """
-
-    from scipy.interpolate import InterpolatedUnivariateSpline
 
     c = 2.0 * omega
     sqrt_c = math.sqrt(c)
@@ -384,13 +330,12 @@ def _reconstruct_density(omega: float, s: np.ndarray, u: np.ndarray,
 
     # Panel starts a_p and node offsets t_i along s/2, so s = 2(a_p + t_i).
     x, w = np.polynomial.legendre.leggauss(panel_order)
-    width = 0.5 * float(s[-1]) / quad_panels
+    width = 0.5 * s_max / quad_panels
     a = width * np.arange(quad_panels)
     t = 0.5 * width * (x + 1.0)
     half_nodes = a[:, None] + t
     nodes = 2.0 * half_nodes
-    u_spline = InterpolatedUnivariateSpline(s, u, k=5)
-    w_of_s = width * w * u_spline(nodes) ** 2 / nodes
+    w_of_s = width * w * u(nodes) ** 2 / nodes
 
     # Odd moments J_k(0) for the near-origin series of rho = C J(r)/r.
     x0 = sqrt_c * half_nodes
@@ -436,42 +381,41 @@ def _reconstruct_density(omega: float, s: np.ndarray, u: np.ndarray,
 
     # Beyond s_max/2 plus the representable width of exp(-c t^2) every
     # kernel underflows to zero; stop trusting the profile well before.
-    support = 0.5 * float(s[-1]) + 0.8 * math.sqrt(708.0 / c)
+    support = 0.5 * s_max + 0.8 * math.sqrt(708.0 / c)
     return DensityModel(profile=profile, electron_count=2.0, label=label,
                         r_support=support)
 
 
-def solve_general(params: HookeParams, n_points: int = 8001,
-                  s_max: float | None = None, quad_panels: int = 72,
+def solve_general(params: HookeParams, s_max: float | None = None,
+                  quad_panels: int = 72,
                   panel_order: int = 12) -> HookeSolution:
     """Solve the ground state at any omega and rebuild the density.
 
-    The relative equation is integrated by Numerov sweeps matched at the
-    classical turning point; the eigenvalue is bracketed by a mismatch
-    scan filtered to zero interior nodes, then polished by Brent.  The
-    reconstructed density must pass the N = 2 sum rule to 1e-6 or the
-    solve is rejected.
+    The relative equation is solved by Chebyshev collocation of degree
+    60 on [0, s_max], 12/sqrt(omega) by default.  The solve is rejected
+    when u is under-resolved (s_max beyond about 20/sqrt(omega)), when
+    the lowest eigenvalue leaves [1.45 omega, 1.5 omega + 4 sqrt(omega)
+    + 4], when u has a node, or when the reconstructed density misses
+    the N = 2 sum rule by more than 1e-6.
     """
 
     omega = params.omega
     lam = 1.0 if params.interacting else 0.0
     if s_max is None:
         s_max = 12.0 / math.sqrt(omega)
-    eps_rel, s, u = _solve_relative(omega, lam, n_points, s_max)
+    eps_rel, u = _solve_relative(omega, lam, s_max)
 
     # <T_rel> = eps_rel - <V_rel>, avoiding numerical differentiation.
-    v_pot = 0.25 * omega * omega * s ** 2
-    pot_density = v_pot * u * u
-    if lam != 0.0:
-        coulomb = np.zeros_like(s)
-        coulomb[1:] = lam * u[1:] ** 2 / s[1:]
-        pot_density = pot_density + coulomb
-    t_rel = eps_rel - _simpson(pot_density, s)
+    # The integrand is 0 at s = 0, where u vanishes like s.
+    s = _lobatto_points(s_max)[1:]
+    pot_density = np.r_[0.0, (0.25 * omega * omega * s * s + lam / s)
+                        * u(s) ** 2]
+    t_rel = eps_rel - _clenshaw_curtis(pot_density, s_max)
 
     eps_cm = 1.5 * omega
     label = (f"hooke(omega={omega:g}, "
              f"{'interacting' if params.interacting else 'non-interacting'})")
-    density = _reconstruct_density(omega, s, u, label,
+    density = _reconstruct_density(omega, u, s_max, label,
                                    quad_panels=quad_panels,
                                    panel_order=panel_order)
 
@@ -488,8 +432,8 @@ def solve_general(params: HookeParams, n_points: int = 8001,
         T_exact=t_s,
         E_total=eps_cm + eps_rel,
         eps_cm=eps_cm,
-        eps_rel=float(eps_rel),
-        kinetic_expectation=0.75 * omega + float(t_rel),
+        eps_rel=eps_rel,
+        kinetic_expectation=0.75 * omega + t_rel,
     )
 
 

@@ -21,8 +21,8 @@ the only geometry is the radial half-line.  This module owns:
 Quadrature is a globally adaptive Gauss-Kronrod 10/21 rule in numpy
 (``quad``) that evaluates each refinement round as one batch of radii.
 Splines are FITPACK's: ``tabulated_derivatives`` imports scipy when it
-is called, as the Hooke solver does for its LAPACK solve, root finder
-and spline, so atoms and closed forms never load scipy.
+is called, and it is the only code that does, so atoms and Hooke
+densities never load scipy.
 """
 
 from __future__ import annotations

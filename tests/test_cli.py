@@ -403,14 +403,17 @@ def _python(args, cwd):
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
-    # No scipy module at all: not on import, and not through an atom row
-    # or the closed-form Hooke row at omega = 1/2, which need neither the
-    # Hooke solver nor a spline.
+    # No scipy module at all: not on import, and not through an atom row,
+    # the closed-form Hooke row at omega = 1/2 or a solver row at
+    # omega = 1/4, whose collocation solve and density kernel are numpy.
+    # Only tabulated densities load scipy, for their splines.
     loaded = ("print(sorted(m for m in sys.modules "
               "if m.startswith('scipy')))")
     for run in ["", "kedsum.cli.main(['atom', '--basis', 'ar'], "
                     "standalone_mode=False); "
                     "kedsum.cli.main(['hooke', '--omega', '0.5'], "
+                    "standalone_mode=False); "
+                    "kedsum.cli.main(['hooke', '--omega', '0.25'], "
                     "standalone_mode=False); "]:
         done = _python(["-c", f"import sys, kedsum.cli; {run}{loaded}"],
                        tmp_path)
@@ -418,6 +421,7 @@ def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
         assert done.stdout.splitlines()[-1] == "[]", done.stdout
     assert done.stdout.startswith("element")
     assert "\n  0.5 " in done.stdout, done.stdout
+    assert "\n 0.25 " in done.stdout, done.stdout
 
 
 def test_dump_non_finite_columns_exit_4_under_warnings_as_errors(tmp_path):

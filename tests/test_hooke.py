@@ -167,29 +167,68 @@ def _normalized_taut_u(omega, poly, s):
             / math.sqrt(_taut_norm(omega, poly)))
 
 
+def _check_exact_state(omega, lam, eps_exact, poly):
+    # eps and u on 8,001 uniform s through the solver's interpolant.
+    s_max = 12.0 / math.sqrt(omega)
+    eps, u = hooke._solve_relative(omega, lam, s_max)
+    assert eps == pytest.approx(eps_exact, rel=1e-13)
+    s = np.linspace(0.0, s_max, 8001)
+    exact = _normalized_taut_u(omega, poly, s)
+    assert np.max(np.abs(u(s) - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
 @pytest.mark.parametrize("omega,eps_rel,poly", [
     # Taut, PRA 48, 3561 (1993): E = 1/2 at omega = 1/10 and E = 2 at
     # omega = 1/2, less the centre-of-mass energy 3 omega / 2.
     (0.1, 0.35, (1.0, 0.5, 0.05)),
     (0.5, 1.25, (1.0, 0.5)),
 ])
-def test_numerov_solve_reproduces_taut_closed_forms(omega, eps_rel, poly):
-    eps, s, u = hooke._solve_relative(omega, 1.0, 8001,
-                                      12.0 / math.sqrt(omega))
-    assert eps == pytest.approx(eps_rel, rel=1e-10)
-    exact = _normalized_taut_u(omega, poly, s)
-    assert np.max(np.abs(u - exact)) <= 1e-10 * np.max(np.abs(exact))
+def test_relative_solve_reproduces_taut_closed_forms(omega, eps_rel, poly):
+    _check_exact_state(omega, 1.0, eps_rel, poly)
 
 
-def test_overflowing_sweep_names_itself():
-    # From s = 80 inward the decaying tail grows like exp(s^2 / 4).
-    with pytest.raises(hooke.SolverError, match="inward Numerov sweep"):
+@pytest.mark.parametrize("omega", [0.1, 0.25, 1.0, 4.0])
+def test_relative_solve_reproduces_the_free_oscillator(omega):
+    # Without the interaction u = s exp(-omega s^2 / 4), eps = 3 omega / 2.
+    _check_exact_state(omega, 0.0, 1.5 * omega, (1.0,))
+
+
+def test_under_resolved_state_names_itself():
+    # At s_max = 80 the degree cannot follow exp(-s^2 / 4) down to its
+    # tail: u's last Chebyshev coefficients stand at 6e-5 of the largest.
+    with pytest.raises(hooke.SolverError, match="u is under-resolved"):
         hooke.solve_general(hooke.HookeParams(1.0), s_max=80.0)
 
 
 def test_solver_error_when_eigenvalue_not_bracketed():
-    with pytest.raises(hooke.SolverError):
+    # On [0, 0.5] the lowest state is a box state at eps = 44.3.
+    with pytest.raises(hooke.SolverError,
+                       match="outside the ground-state bracket"):
         hooke.solve_general(hooke.HookeParams(1.0), s_max=0.5)
+
+
+def test_solver_density_matches_the_taut_density(hooke_solution):
+    # The kernel fed Taut's exact u at omega = 1/10 against the kernel
+    # fed the solver's interpolant: any gap is the solver's.
+    omega, poly = 0.1, (1.0, 0.5, 0.05)
+    model = hooke_solution(omega).density
+    exact = hooke._reconstruct_density(
+        omega, lambda s: _normalized_taut_u(omega, poly, s),
+        12.0 / math.sqrt(omega), "taut")
+    r = radial.grid_for_density(model).positive_nodes
+    want = exact.rho(r)
+    live = want > 1e-12
+    assert np.all(np.abs(model.rho(r[live]) - want[live])
+                  <= 1e-12 * want[live])
+
+
+def test_wider_box_keeps_the_ground_state(hooke_solution):
+    # At s_max = 20 the tail of u below 1e-8 of its peak is rounding
+    # noise whose sign flips; the node count ignores it.
+    wide = hooke.solve_general(hooke.HookeParams(1.0), s_max=20.0)
+    default = hooke_solution(1.0)
+    assert wide.eps_rel == pytest.approx(default.eps_rel, rel=1e-12)
+    assert wide.T_exact == pytest.approx(default.T_exact, rel=1e-12)
 
 
 def test_singlet_ks_kinetic_on_gaussian_pair():
@@ -211,15 +250,15 @@ def test_singlet_ks_kinetic_on_gaussian_pair():
 
 @pytest.fixture(scope="module")
 def relative_state():
-    """Factory: the solver's (s, u) and the density built from them."""
+    """Factory: the solver's u(s) and the density built from it."""
     cache = {}
 
     def get(omega):
         if omega not in cache:
-            _, s, u = hooke._solve_relative(omega, 1.0, 8001,
-                                            12.0 / math.sqrt(omega))
-            cache[omega] = s, u, hooke._reconstruct_density(omega, s, u,
-                                                            "kernel")
+            s_max = 12.0 / math.sqrt(omega)
+            _, u = hooke._solve_relative(omega, 1.0, s_max)
+            cache[omega] = u, hooke._reconstruct_density(omega, u, s_max,
+                                                         "kernel")
         return cache[omega]
 
     return get
@@ -230,16 +269,14 @@ def _series_switch(omega):
     return 0.2 / math.sqrt(2.0 * omega)
 
 
-def _panel_rule(s, u, panels=72, order=12):
+def _panel_rule(u, panels=72, order=12):
     """Half-nodes s/2 and weights u^2/s ds of the kernel's panel rule."""
-    from scipy.interpolate import InterpolatedUnivariateSpline
-
     x, w = np.polynomial.legendre.leggauss(order)
-    width = 0.5 * float(s[-1]) / panels
+    width = 0.5 * float(u.domain[1]) / panels
     half = (width * np.arange(panels)[:, None]
             + 0.5 * width * (x + 1.0)).ravel()
-    u_half = InterpolatedUnivariateSpline(s, u, k=5)(2.0 * half)
-    return half, np.tile(width * w, panels) * u_half ** 2 / (2.0 * half)
+    weight = np.tile(width * w, panels) * u(2.0 * half) ** 2 / (2.0 * half)
+    return half, weight
 
 
 def _direct_density(omega, half, weight, r):
@@ -286,8 +323,8 @@ def _mp_density(omega, half, weight, r):
 def test_kernel_matches_the_direct_node_sum(relative_state, omega):
     # Every positive grid node from the series switch on, where the
     # panel kernel applies; below it the direct sum's 1/r cancels.
-    s, u, model = relative_state(omega)
-    half, weight = _panel_rule(s, u)
+    u, model = relative_state(omega)
+    half, weight = _panel_rule(u)
     r = radial.grid_for_density(model).positive_nodes
     r = r[r >= _series_switch(omega)]
     want = np.concatenate([_direct_density(omega, half, weight, r[i:i + 64])
@@ -303,8 +340,8 @@ def test_kernel_matches_mpmath_at_switch_peak_and_tail(relative_state):
     # Just above the series switch (where d^k(J/r) cancels most), at the
     # density peak (the origin, on the series) and in the Gaussian tail.
     omega = 1.0
-    s, u, model = relative_state(omega)
-    half, weight = _panel_rule(s, u)
+    u, model = relative_state(omega)
+    half, weight = _panel_rule(u)
     nodes = radial.grid_for_density(model).positive_nodes
     peak = float(nodes[np.argmax(model.rho(nodes))])
     rel = np.array([1e-14, 1e-13, 1e-13, 1e-11, 1e-10])
