@@ -8,10 +8,9 @@ omega; the relative s-wave radial equation
     -u'' + (omega^2/4) s^2 u + (lambda/s) u = eps u       (mu = 1/2)
 
 is solved here by Chebyshev collocation on [0, s_max], with numpy's
-dense eigensolver and no scipy.  For omega = 1/2 the interacting
-ground state is known in closed form, which provides both an exact
-density (with four analytic derivatives) and an end-to-end check on
-the numerical route.
+dense eigensolver and no scipy.  For omega = 1/2 the interacting u(s)
+is known in closed form (Taut, 1993); the same reconstruction turns it
+into an exact density, an end-to-end check on the numerical route.
 
 The kinetic reference attached to solutions is the *non-interacting*
 (Kohn-Sham) kinetic energy of the ground-state density: for a
@@ -28,12 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
 from . import jets
-from .radial import (DensityModel, RadialGrid, blockwise, grid_for_density,
+from .radial import (DensityModel, RadialGrid, grid_for_density,
                      integrate_radial)
 
 
@@ -77,98 +76,6 @@ def singlet_ks_kinetic(model: DensityModel, grid: RadialGrid) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Analytic omega = 1/2 density.
-#
-# The closed-form ground state Psi = N0 (1 + r12/2) exp(-(r1^2+r2^2)/4),
-# N0^2 = [4 pi^(5/2) (8 + 5 sqrt(pi))]^(-1), integrates to the density
-#
-#   rho(r) propto exp(-r^2/2) { sqrt(pi/2) [7/4 + r^2/4
-#                + (r + 1/r) erf(r/sqrt(2))] + exp(-r^2/2) }
-#
-# The proportionality constant is fixed numerically by the N = 2 sum
-# rule rather than trusted from transcription.
-# ---------------------------------------------------------------------------
-
-_SQRT_PI_HALF = math.sqrt(math.pi / 2.0)
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_N0_SQUARED = 1.0 / (4.0 * math.pi ** 2.5 * (8.0 + 5.0 * math.sqrt(math.pi)))
-
-# Small-r series of the bracket: sqrt(pi/2)(7/4 + r^2/4) plus the even
-# power series of sqrt(pi/2)(r + 1/r) erf(r/sqrt(2)), which is
-# sum_k (-1)^k (r^(2k) + r^(2k+2)) / (2^k k! (2k+1)).  Converges to
-# machine precision for r < 1/2 with ~20 terms.
-_SERIES_SWITCH = 0.5
-
-
-def _bracket_series_coeffs(n_terms: int = 22) -> np.ndarray:
-    coeffs = np.zeros(2 * n_terms + 4)
-    coeffs[0] += _SQRT_PI_HALF * 7.0 / 4.0
-    coeffs[2] += _SQRT_PI_HALF / 4.0
-    term = 1.0
-    for k in range(n_terms):
-        coeffs[2 * k] += term
-        coeffs[2 * k + 2] += term
-        term *= -1.0 / (2.0 * (k + 1.0) * (2.0 * k + 3.0) / (2.0 * k + 1.0))
-    return coeffs
-
-
-_BRACKET_COEFFS = _bracket_series_coeffs()
-
-
-def _piecewise(r, switch: float, near, far) -> np.ndarray:
-    """Jet from ``near`` below ``switch`` and ``far`` from it on.
-
-    r is a float or a 1-d array; each branch sees only its own radii,
-    as a 1-d array, so neither is ever evaluated outside its range.
-    """
-
-    r = np.asarray(r, dtype=float)
-    flat = r.reshape(-1)
-    out = np.empty((jets.ORDERS, flat.size))
-    small = flat < switch
-    if np.any(small):
-        out[:, small] = near(flat[small])
-    if not np.all(small):
-        out[:, ~small] = far(flat[~small])
-    return out.reshape((jets.ORDERS,) + r.shape)
-
-
-def _bracket_far(r: np.ndarray) -> np.ndarray:
-    q = jets.power(r, 1) + jets.power(r, -1)
-    return _SQRT_PI_HALF * (jets.polynomial(r, (1.75, 0.0, 0.25))
-                            + jets.multiply(q, jets.erf_scaled(r, _INV_SQRT2)))
-
-
-def _bracket_jet(r) -> np.ndarray:
-    """Jet of the curly bracket, exact-arithmetic safe near r = 0."""
-    poly = _piecewise(r, _SERIES_SWITCH,
-                      lambda x: jets.polynomial(x, _BRACKET_COEFFS),
-                      _bracket_far)
-    return poly + jets.gaussian(r, 0.5)
-
-
-def _display_profile(r) -> np.ndarray:
-    return _N0_SQUARED * jets.multiply(jets.gaussian(r, 0.5),
-                                       _bracket_jet(r))
-
-
-@cache
-def analytic_density_omega_half() -> DensityModel:
-    """The exact omega = 1/2 density, rescaled onto the N = 2 sum rule."""
-    raw = DensityModel(profile=_display_profile, electron_count=2.0,
-                       label="hooke(omega=0.5, analytic)")
-    grid = grid_for_density(raw)
-    measured = integrate_radial(raw.rho, grid)
-    scale = 2.0 / measured
-
-    def profile(r) -> np.ndarray:
-        return scale * _display_profile(r)
-
-    return DensityModel(profile=profile, electron_count=2.0,
-                        label="hooke(omega=0.5, analytic)")
-
-
-# ---------------------------------------------------------------------------
 # Chebyshev collocation for the relative motion.
 #
 # u is analytic on [0, inf) (its series at s = 0 has integer powers), so
@@ -203,6 +110,11 @@ _TAIL = 1e-13
 # Sign changes count only where |u| exceeds this fraction of its peak;
 # below it the deep tail is rounding noise.
 _NODE_FLOOR = 1e-8
+# |u| over the last fifth of the box above this fraction of its peak
+# means the box is too short to hold the state.  At s_max = 8/sqrt(omega)
+# it stands at 2.7e-4 or more and T_s is off by up to 3e-9; at
+# 10/sqrt(omega) it is below 6e-6 and T_s holds to 3e-14.
+_BOX_EDGE = 1e-4
 
 
 def _clenshaw_curtis(values: np.ndarray, s_max: float) -> float:
@@ -249,6 +161,13 @@ def _solve_relative(omega: float, lam: float, s_max: float):
             f"lowest eigenvalue eps={eps:.10g} for omega={omega:g}, "
             f"lambda={lam:g} lies outside the ground-state bracket "
             f"[{lo:g}, {hi:g}]")
+    edge = float(np.max(np.abs(u[s >= 0.8 * s_max])) / np.max(np.abs(u)))
+    if edge > _BOX_EDGE:
+        raise SolverError(
+            f"the box [0, {s_max:g}] is too short to hold the state: |u| "
+            f"over its last fifth reaches {edge:.2g} of its peak; keep "
+            f"s_max at or above {10.0 / math.sqrt(omega):.3g} at "
+            f"omega={omega:g}")
 
     scale = 1.0 / math.sqrt(_clenshaw_curtis(u * u, s_max))
     if u[np.argmax(np.abs(u))] < 0.0:
@@ -275,39 +194,56 @@ def _solve_relative(omega: float, lam: float, s_max: float):
 #              [exp(-c(r - s/2)^2) - exp(-c(r + s/2)^2)] ds,
 #   c = 2 omega,  C = (2 omega/pi)^(3/2) / (2 omega).
 #
-# J is a Gauss-Legendre sum over uniform panels: panel p starts at
-# s/2 = a_p, and its nodes sit at s/2 = a_p + t_i with the same offsets
-# t_i in every panel.  The k-th r-derivative of a shifted Gaussian is
-# (-sqrt(c))^k H_k(x) exp(-x^2), and with x = sqrt(c)(r -+ a_p -+ t_i)
-# = u + y_i, u = sqrt(c)(r -+ a_p) and y_i = -+sqrt(c) t_i, both factors
-# split into a panel part and an offset part:
-#
-#   exp(-x^2) = exp(-u^2) exp(+-2c r t_i) exp(-2c a_p t_i - c t_i^2),
-#   H_k(x)    = sum_j C(k,j) H_(k-j)(u) (2 y_i)^j
-#
-# (the Hermite addition formula, DLMF 18.18).  The last exponential goes
-# into the weights w_pi, so the offsets sum in one contraction,
-# M_j(r, p) = sum_i exp(+-2c r t_i) (2 y_i)^j w_pi, and
-#
-#   J^(k)(r) = (-sqrt(c))^k sum_(-+, p, j) C(k,j) H_(k-j)(u) exp(-u^2) M_j
-#
-# with the sign of each shift's Gaussian: 2 x 72 plus 2 x 12
-# exponentials per radius instead of one per node and shift.  This form
-# of the addition formula, in powers of the small 2 y_i, cancels less
-# than the one in powers of 2u.  Every sum runs along a last axis of
-# fixed length with no BLAS call, so a radius gets the same bits alone
-# as in a batch.  Near the origin d^k(J/r) cancels, and a short odd
-# Taylor series in r takes over.  The closed form integrates to exactly
-# 2 electrons, which is verified after reconstruction.
+# J is a Gauss-Legendre sum over equal panels in s, and the k-th
+# r-derivative of a shifted Gaussian is (-sqrt(c))^k H_k(x) exp(-x^2),
+# x = sqrt(c)(r -+ s/2).  The density is fixed once u is, so the node
+# sum is evaluated once per solve and tabulated: q_k = rho^(k)
+# exp(omega r^2), which is O(1) and slowly varying where rho ~
+# exp(-omega r^2) poly(r), at 16 Chebyshev points on each of equal
+# panels about 1.25/sqrt(omega) wide, read back by Clenshaw's recurrence
+# (Trefethen, Approximation Theory and Approximation Practice, 2013).
+# Near the origin d^k(J/r) cancels, so below 0.6/sqrt(c) the table
+# gives way to the even Taylor series of J/r, from the odd moments
+# J^(k)(0) through k = 35.  Both branches work radius by radius, so a
+# radius gets the same bits alone as in a batch.  The reconstructed
+# density's N = 2 sum rule is verified after reconstruction.
 # ---------------------------------------------------------------------------
 
-# The kernel's two shifts, r - s/2 (sign -1) and r + s/2 (sign +1), and
-# the addition formula's C(k, j) at [k, (shift, m, j)] where m + j = k:
-# one sum along the last axis takes every order of J over both shifts.
-_SHIFT = np.array([-1.0, 1.0])
-_ADDITION = np.tile([[float(math.comb(k, j) * (m + j == k))
-                      for m in range(jets.ORDERS) for j in range(jets.ORDERS)]
-                     for k in range(jets.ORDERS)], 2)
+_SERIES_ORDER = 35          # the last odd moment of the near-origin series
+_TABLE_POINTS = 16          # Chebyshev points per table panel
+_TABLE_THETA = np.pi * (np.arange(_TABLE_POINTS) + 0.5) / _TABLE_POINTS
+# Values at the points cos(theta_i) to Chebyshev coefficients:
+# a_j = (2/n) sum_i f_i cos(j theta_i), with a_0 halved.
+_TO_TABLE_COEFFS = ((2.0 / _TABLE_POINTS)
+                    * np.cos(np.outer(np.arange(_TABLE_POINTS), _TABLE_THETA)))
+_TO_TABLE_COEFFS[0] *= 0.5
+# Radii per node-sum call while the table is built: the call's largest
+# arrays hold 5 x 2 x 864 floats a radius at the default panel rule.
+_BUILD_RADII = 2
+
+
+def _table_edges(omega: float, s_max: float) -> np.ndarray:
+    """The series switch, then every table panel edge up to the support.
+
+    The tail rule cuts the rows off at 11-13/sqrt(omega), well inside.
+    """
+    switch = 0.6 / math.sqrt(2.0 * omega)
+    support = 0.5 * s_max + 7.5 / math.sqrt(omega)
+    panels = math.ceil((support - switch) * math.sqrt(omega) / 1.25)
+    return np.linspace(switch, support, panels + 1)
+
+
+def _node_sum(r: np.ndarray, root: float, shifts: np.ndarray,
+              signed: np.ndarray) -> np.ndarray:
+    """J's jet at radii r, one Gaussian per node, shift and radius.
+
+    ``shifts`` holds -s/2 and then +s/2 at every node, and ``signed``
+    the weights, negated for the second shift.
+    """
+    x = root * (r[:, None] + shifts)
+    kernel = jets.hermite_values(x, jets.ORDERS - 1) * np.exp(-x * x)
+    return np.cumprod([1.0] + [-root] * (jets.ORDERS - 1))[:, None] * (
+        np.sum(kernel * signed, axis=-1))
 
 
 def _reconstruct_density(omega: float, u, s_max: float, label: str,
@@ -317,73 +253,87 @@ def _reconstruct_density(omega: float, u, s_max: float, label: str,
 
     u is a callable, the solver's Chebyshev interpolant or a closed
     form, read at the Gauss-Legendre nodes of ``quad_panels`` equal
-    panels of ``panel_order`` points on [0, s_max].  From ``switch``
-    on, the jet of J is the panel sum factorised as above; below it, an
-    odd Taylor series from the moments J^(k)(0).  The profile keeps no
-    array larger than the (panel_order, quad_panels) weights, since
-    callers may hold many models at once.
+    panels of ``panel_order`` points on [0, s_max].  The profile keeps
+    only the series and the Chebyshev table, since callers may hold
+    many models at once; past the support it reads NaN.
     """
 
     c = 2.0 * omega
-    sqrt_c = math.sqrt(c)
-    pref = (2.0 * omega / math.pi) ** 1.5 / (2.0 * omega)
+    root = math.sqrt(c)
+    pref = (c / math.pi) ** 1.5 / c
 
-    # Panel starts a_p and node offsets t_i along s/2, so s = 2(a_p + t_i).
+    # Half-nodes s/2 and weights u^2/s ds of the panel rule.
     x, w = np.polynomial.legendre.leggauss(panel_order)
-    width = 0.5 * s_max / quad_panels
-    a = width * np.arange(quad_panels)
-    t = 0.5 * width * (x + 1.0)
-    half_nodes = a[:, None] + t
-    nodes = 2.0 * half_nodes
-    w_of_s = width * w * u(nodes) ** 2 / nodes
+    step = 0.5 * s_max / quad_panels
+    half = (step * np.arange(quad_panels)[:, None]
+            + 0.5 * step * (x + 1.0)).ravel()
+    weight = np.tile(step * w, quad_panels) * u(2.0 * half) ** 2 / (2.0 * half)
 
-    # Odd moments J_k(0) for the near-origin series of rho = C J(r)/r.
-    x0 = sqrt_c * half_nodes
-    herm0 = jets.hermite_values(x0, 9)
-    gauss0 = np.exp(-x0 * x0)
-    series_coeffs = np.zeros(9)
-    for k_odd in (1, 3, 5, 7, 9):
-        j_k = 2.0 * sqrt_c ** k_odd * float(
-            np.sum(w_of_s * herm0[k_odd] * gauss0))
-        series_coeffs[k_odd - 1] = pref * j_k / math.factorial(k_odd)
-    switch = 0.2 / sqrt_c
+    # J is odd in r, so J/r = sum over odd k of J^(k)(0) r^(k-1) / k!,
+    # with J^(k)(0) = 2 c^(k/2) sum_n w_n H_k(x_n) exp(-x_n^2).
+    x0 = root * half
+    moments = jets.hermite_values(x0, _SERIES_ORDER) * np.exp(-x0 * x0)
+    series = np.zeros(_SERIES_ORDER)
+    for k in range(1, _SERIES_ORDER + 1, 2):
+        series[k - 1] = (2.0 * pref * root ** k / math.factorial(k)
+                         * float(np.sum(weight * moments[k])))
 
-    weights = np.ascontiguousarray(
-        (w_of_s * np.exp(-c * t * (2.0 * a[:, None] + t))).T)
-    scale = pref * np.cumprod([1.0] + [-sqrt_c] * (jets.ORDERS - 1))[:, None]
-
-    @partial(blockwise, width=jets.ORDERS * 2 * quad_panels)
-    def far(r: np.ndarray) -> np.ndarray:
-        # Arrays are at most (5, 2, r.size, quad_panels), the width
-        # blockwise sizes r.size by.  einsum without optimize makes
-        # no BLAS call, and each sum keeps its order.
-        # a_p and the offset factors (2 y_i)^j exp(+-2c r t_i), with the
-        # + or - of the difference, are rebuilt on every call, which
-        # costs little and keeps the model small.
-        two_y = (2.0 * sqrt_c * _SHIFT)[:, None, None] * t
-        offsets = np.empty((jets.ORDERS, 2, r.size, t.size))
-        offsets[0] = np.exp(np.multiply.outer(_SHIFT, r)[..., None]
-                            * (-2.0 * c * t)) * -_SHIFT[:, None, None]
-        for j in range(1, jets.ORDERS):
-            offsets[j] = offsets[j - 1] * two_y
-        m = np.einsum("jsri,ip->jsrp", offsets, weights)
-        a_p = width * np.arange(quad_panels)
-        u_shift = sqrt_c * (r[:, None] + _SHIFT[:, None, None] * a_p)
-        panel = (jets.hermite_values(u_shift, jets.ORDERS - 1)
-                 * np.exp(-u_shift * u_shift))
-        pairs = np.einsum("msrp,jsrp->rsmj", panel, m).reshape(r.size, -1)
-        j_jet = scale * np.einsum("kq,rq->kr", _ADDITION, pairs)
-        return jets.multiply(jets.power(r, -1), j_jet)
+    edges = _table_edges(omega, s_max)
+    switch, support = float(edges[0]), float(edges[-1])
+    panels = edges.size - 1
+    width = (support - switch) / panels
+    radii = (switch + width * (np.arange(panels)[:, None]
+                               + 0.5 * (1.0 + np.cos(_TABLE_THETA)))).ravel()
+    shifts, signed = np.r_[-half, half], np.r_[weight, -weight]
+    j_jet = np.concatenate([_node_sum(radii[i:i + _BUILD_RADII], root,
+                                      shifts, signed)
+                            for i in range(0, radii.size, _BUILD_RADII)],
+                           axis=1)
+    scaled = (pref * jets.multiply(jets.power(radii, -1), j_jet)
+              * np.exp(omega * radii * radii))
+    # table[j, k, p]: the j-th Chebyshev coefficient of q_k on panel p.
+    table = np.einsum("ji,kpi->jkp", _TO_TABLE_COEFFS,
+                      scaled.reshape(jets.ORDERS, panels, _TABLE_POINTS))
 
     def profile(r) -> np.ndarray:
-        return _piecewise(r, switch,
-                          lambda x: jets.polynomial(x, series_coeffs), far)
+        # Each branch sees only its own radii, as a 1-d array.
+        r = np.asarray(r, dtype=float)
+        flat = r.reshape(-1)
+        out = np.empty((jets.ORDERS, flat.size))
+        near = flat < switch
+        if np.any(near):
+            out[:, near] = jets.polynomial(flat[near], series)
+        if not np.all(near):
+            far = flat[~near]
+            t = (far - switch) / width
+            p = np.floor(np.fmin(t, panels - 1)).astype(int)
+            x = 2.0 * (t - p) - 1.0
+            b1 = b2 = 0.0
+            for row in table[:0:-1]:
+                b1, b2 = row[:, p] + 2.0 * x * b1 - b2, b1
+            q = table[0][:, p] + x * b1 - b2
+            out[:, ~near] = np.where(far <= support,
+                                     q * np.exp(-omega * far * far), np.nan)
+        return out.reshape((jets.ORDERS,) + r.shape)
 
-    # Beyond s_max/2 plus the representable width of exp(-c t^2) every
-    # kernel underflows to zero; stop trusting the profile well before.
-    support = 0.5 * s_max + 0.8 * math.sqrt(708.0 / c)
     return DensityModel(profile=profile, electron_count=2.0, label=label,
                         r_support=support)
+
+
+@cache
+def analytic_density_omega_half() -> DensityModel:
+    """The exact omega = 1/2 density, built from Taut's closed form.
+
+    Taut's u(s) = s (1 + s/2) exp(-s^2/8) / sqrt(8 + 5 sqrt(pi)) goes
+    through the solver rows' reconstruction, on a box of
+    s_max = 24/sqrt(omega), so the Gaussian tail holds out to r = 16.
+    """
+    def u(s: np.ndarray) -> np.ndarray:
+        return (s * (1.0 + 0.5 * s) * np.exp(-0.125 * s * s)
+                / math.sqrt(8.0 + 5.0 * math.sqrt(math.pi)))
+
+    return _reconstruct_density(0.5, u, 24.0 / math.sqrt(0.5),
+                                "hooke(omega=0.5, analytic)")
 
 
 def solve_general(params: HookeParams, s_max: float | None = None,
@@ -395,8 +345,9 @@ def solve_general(params: HookeParams, s_max: float | None = None,
     60 on [0, s_max], 12/sqrt(omega) by default.  The solve is rejected
     when u is under-resolved (s_max beyond about 20/sqrt(omega)), when
     the lowest eigenvalue leaves [1.45 omega, 1.5 omega + 4 sqrt(omega)
-    + 4], when u has a node, or when the reconstructed density misses
-    the N = 2 sum rule by more than 1e-6.
+    + 4], when the box is too short to hold u (s_max below about
+    9/sqrt(omega)), when u has a node, or when the reconstructed
+    density misses the N = 2 sum rule by more than 1e-6.
     """
 
     omega = params.omega
@@ -441,8 +392,9 @@ def table_density(omega: float,
                   interacting: bool = True) -> tuple[DensityModel, float]:
     """The density and reference T_s of one accuracy-table row.
 
-    The interacting pair at omega = 1/2 uses the closed form, with T_s
-    integrated on its tail-rule grid; every other case runs the solver.
+    The interacting pair at omega = 1/2 uses Taut's closed-form state,
+    with T_s integrated on its tail-rule grid; every other case runs
+    the solver.
     """
 
     if interacting and omega == 0.5:

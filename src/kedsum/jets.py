@@ -4,7 +4,7 @@ The sixth-order gradient correction needs density derivatives up to
 fourth order, and hand-differentiating every density profile four times
 is a reliable way to ship sign errors.  Instead, profiles are assembled
 from a few primitive factors whose derivatives are known in closed form
-(powers, Gaussians, decaying exponentials, the error function) and
+(powers, polynomials, Gaussians and decaying exponentials) and
 combined with the Leibniz product rule.
 
 A jet is an ndarray whose leading axis indexes the derivative order:
@@ -13,8 +13,6 @@ a jet can hold one point (shape ``(5,)``) or a batch (shape ``(5, n)``).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -116,22 +114,3 @@ def exponential(r, zeta: float) -> np.ndarray:
         fac *= -zeta
     return out
 
-
-def erf_scaled(r, beta: float) -> np.ndarray:
-    """erf(beta r); derivatives are Gaussian-Hermite terms.
-
-    The value is the standard library's ``math.erf``, radius by radius.
-    The omega = 1/2 Hooke density passes it whole arrays, up to the
-    1,600 nodes of a grid; the loop costs about 0.25 us a radius, a
-    sixth of that density's whole jet (2-core VM).
-    """
-    r = np.asarray(r, dtype=float)
-    x = beta * r
-    base = np.exp(-x * x)
-    herm = hermite_values(x, ORDERS - 2)
-    out = np.empty((ORDERS,) + r.shape)
-    out[0] = np.reshape([math.erf(v) for v in x.flat], x.shape)
-    pref = 2.0 * beta / np.sqrt(np.pi)
-    for k in range(1, ORDERS):
-        out[k] = pref * (-beta) ** (k - 1) * herm[k - 1] * base
-    return out

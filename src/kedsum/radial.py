@@ -98,15 +98,14 @@ _TINY = np.finfo(float).tiny
 TAIL_TOLERANCE = 3e-13
 
 # Floats one ``blockwise`` kernel call may put in each of its largest
-# per-radius arrays.  Only the two kernels whose temporaries grow with
-# the batch use it: the atomic density (``(5, n, distinct primitives)``,
-# 60 floats a radius on Ar, so 273 radii a call) and the Hooke panel sum
-# (``(5, 2, n, quad_panels)``, 22 radii at 72 panels and 11 at 144).
-# On a 2-core VM, a pass over the atom rows took 0.167 s at 17 Ar radii
-# a call, 0.120 s at 68, 0.110 s at 273 and 0.116 s at 546.  With every
-# temporary of a call, one 1,600-radius evaluation peaks at 0.49 MB on
-# Ar and 0.64 MB on Hooke, against 4.1 and 27 MB unblocked.
-# The tabulated spline and the closed forms take whole arrays.
+# per-radius arrays.  Only the atomic density, whose temporaries grow
+# with the batch, uses it: ``(5, n, distinct primitives)`` arrays, 60
+# floats a radius on Ar, so 273 radii a call.  On a 2-core VM, a pass
+# over the atom rows took 0.167 s at 17 Ar radii a call, 0.120 s at 68,
+# 0.110 s at 273 and 0.116 s at 546.  With every temporary of a call,
+# one 1,600-radius evaluation peaks at 0.49 MB on Ar, against 4.1 MB
+# unblocked.  The tabulated spline and the Hooke table take whole
+# arrays.
 BLOCK_FLOATS = 2 ** 14
 
 # Principal-value window: delta = min(PV_WINDOW_FRACTION * r_pole,

@@ -316,14 +316,15 @@ def test_dump_uniform_table_derivative_terms_vanish(runner, tmp_path):
 
 
 def test_dump_rmax_beyond_support_is_a_usage_error(runner, tmp_path):
-    # The reconstructed omega = 1/4 density underflows to zero past its
-    # support radius (about 42 bohr), where tau4 has no value.
-    result = runner.invoke(main, ["dump", "--omega", "0.25", "--rmax", "200",
-                                  "--points", "50",
-                                  "--csv", str(tmp_path / "out.csv")])
-    assert result.exit_code == 2, result.output
-    assert "support radius" in result.output
-    assert not (tmp_path / "out.csv").exists()
+    # A Hooke density's Chebyshev table ends at its support radius (27
+    # bohr at omega = 1/4, 27.6 at 1/2); past it the profile reads NaN.
+    for omega, rmax in (("0.25", "200"), ("0.5", "30")):
+        result = runner.invoke(main, ["dump", "--omega", omega,
+                                      "--rmax", rmax, "--points", "50",
+                                      "--csv", str(tmp_path / "out.csv")])
+        assert result.exit_code == 2, result.output
+        assert "support radius" in result.output
+        assert not (tmp_path / "out.csv").exists()
 
 
 def test_dump_numerical_failure_exits_4(runner, tmp_path, monkeypatch):

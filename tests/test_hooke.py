@@ -30,14 +30,15 @@ def test_analytic_density_finite_positive_at_origin(analytic_half):
 
 def test_analytic_density_series_matches_closed_form_at_switch(
         analytic_half):
-    # The implementation switches between a small-r series and the
-    # closed form at r = 0.5.  Straddling the seam by +-h, the genuine
-    # first-order change h * d1 (and h * d2 for the slope) must account
-    # for essentially the whole difference; any residual beyond the
-    # quadratic Taylor term would expose a branch mismatch.
+    # The profile switches between a small-r series and the Chebyshev
+    # table at r = 0.6 / sqrt(2 omega).  Straddling the seam by +-h, the
+    # genuine first-order change h * d1 (and h * d2 for the slope) must
+    # account for essentially the whole difference; any residual beyond
+    # the quadratic Taylor term would expose a branch mismatch.
     h = 1e-9
-    below = analytic_half.model.eval(0.5 - h)
-    above = analytic_half.model.eval(0.5 + h)
+    switch = _series_switch(0.5)
+    below = analytic_half.model.eval(switch - h)
+    above = analytic_half.model.eval(switch + h)
     rho_step = above[0] - below[0]
     assert rho_step == pytest.approx(2.0 * h * below[1],
                                      abs=1e-12 * abs(below[0]))
@@ -207,6 +208,23 @@ def test_solver_error_when_eigenvalue_not_bracketed():
         hooke.solve_general(hooke.HookeParams(1.0), s_max=0.5)
 
 
+def test_box_too_short_to_hold_the_state_is_refused():
+    # On [0, 4] at omega = 1 the eigenvalue stays in its bracket, but
+    # the wall squeezes u, whose last fifth still holds 0.31 of its
+    # peak, and T_s comes out 4.6% high.
+    with pytest.raises(hooke.SolverError, match="too short to hold"):
+        hooke.solve_general(hooke.HookeParams(1.0), s_max=4.0)
+
+
+@pytest.mark.parametrize("omega", [0.1, 1.0, 4.0])
+def test_box_of_ten_oscillator_lengths_holds_the_state(hooke_solution,
+                                                       omega):
+    short = hooke.solve_general(hooke.HookeParams(omega),
+                                s_max=10.0 / math.sqrt(omega))
+    assert short.T_exact == pytest.approx(hooke_solution(omega).T_exact,
+                                          rel=1e-12)
+
+
 def test_solver_density_matches_the_taut_density(hooke_solution):
     # The kernel fed Taut's exact u at omega = 1/10 against the kernel
     # fed the solver's interpolant: any gap is the solver's.
@@ -266,7 +284,7 @@ def relative_state():
 
 def _series_switch(omega):
     # Below this radius the profile is the odd Taylor series of J / r.
-    return 0.2 / math.sqrt(2.0 * omega)
+    return 0.6 / math.sqrt(2.0 * omega)
 
 
 def _panel_rule(u, panels=72, order=12):
@@ -337,18 +355,45 @@ def test_kernel_matches_the_direct_node_sum(relative_state, omega):
 
 
 def test_kernel_matches_mpmath_at_switch_peak_and_tail(relative_state):
-    # Just above the series switch (where d^k(J/r) cancels most), at the
-    # density peak (the origin, on the series) and in the Gaussian tail.
-    omega = 1.0
-    u, model = relative_state(omega)
-    half, weight = _panel_rule(u)
-    nodes = radial.grid_for_density(model).positive_nodes
-    peak = float(nodes[np.argmax(model.rho(nodes))])
-    rel = np.array([1e-14, 1e-13, 1e-13, 1e-11, 1e-10])
-    for r in (1.05 * _series_switch(omega), peak, 0.5 * nodes[-1]):
-        want = _mp_density(omega, half, weight, r)
-        assert np.all(np.abs(model.profile(r) - want)
-                      <= rel * np.abs(want)), r
+    # Either side of the series switch, where d^k(J/r) cancels most;
+    # either side of 0.2 / sqrt(2 omega), where a 9th-order series once
+    # gave way and missed rho'''' by up to 2.5e-4; at the density peak
+    # and in the Gaussian tail.
+    rel = np.array([1e-14, 1e-13, 1e-13, 1e-12, 1e-11])
+    for omega in (0.25, 1.0):
+        u, model = relative_state(omega)
+        half, weight = _panel_rule(u)
+        nodes = radial.grid_for_density(model).positive_nodes
+        peak = float(nodes[np.argmax(model.rho(nodes))])
+        short = 0.2 / math.sqrt(2.0 * omega)
+        switch = _series_switch(omega)
+        for r in (0.5 * short, 0.999 * short, 1.05 * short, 0.999 * switch,
+                  1.001 * switch, peak, 0.5 * nodes[-1]):
+            want = _mp_density(omega, half, weight, r)
+            assert np.all(np.abs(model.profile(r) - want)
+                          <= rel * np.abs(want)), (omega, r)
+
+
+def test_analytic_density_matches_taut_closed_form_at_40_digits(
+        analytic_half):
+    # Taut's density, rho ~ exp(-r^2/2) {sqrt(pi/2) [7/4 + r^2/4
+    # + (r + 1/r) erf(r/sqrt(2))] + exp(-r^2/2)}, normalised to N = 2
+    # and differentiated by mpmath, on both sides of the series switch.
+    rel = np.array([1e-13, 1e-13, 1e-13, 1e-12, 1e-11])
+    with mp.workdps(40):
+        def shape(r):
+            return mp.exp(-r * r / 2) * (
+                mp.sqrt(mp.pi / 2) * (mp.mpf(7) / 4 + r * r / 4
+                                      + (r + 1 / r) * mp.erf(r / mp.sqrt(2)))
+                + mp.exp(-r * r / 2))
+
+        norm = 2 / (4 * mp.pi * mp.quad(lambda r: r * r * shape(r),
+                                        [0, 1, 4, 10, mp.inf]))
+        for r in np.geomspace(0.05, 16.0, 11):
+            want = np.array([float(norm * mp.diff(shape, mp.mpf(r), k))
+                             for k in range(5)])
+            got = analytic_half.model.eval(float(r))
+            assert np.all(np.abs(got - want) <= rel * np.abs(want)), r
 
 
 @pytest.mark.parametrize("omega", [0.1, 4.0])
@@ -363,19 +408,32 @@ def test_solver_profile_is_bit_invariant_to_batching(hooke_solution, omega):
                                       batch[:, i])
 
 
-def test_closed_form_profile_is_bit_invariant_to_batching(analytic_half):
-    # The closed form takes whole arrays: its column of one 1,600-radius
-    # batch, radii one ulp either side of the series switch included,
-    # is the jet each radius gets alone.
-    model = analytic_half.model
-    switch = np.nextafter(hooke._SERIES_SWITCH, [0.0, np.inf])
-    radii = np.sort(np.concatenate((switch,
-                                    analytic_half.grid.positive_nodes[2:])))
+def _assert_bit_invariant_at_edges(model, edges, nodes):
+    """One batch of the radii one ulp either side of the series switch
+    and of every table panel edge, filled up to 1,600 radii with grid
+    nodes, gives each radius the jet it gets alone."""
+    sides = np.concatenate((np.nextafter(edges, 0.0),
+                            np.nextafter(edges, np.inf)))
+    radii = np.sort(np.concatenate((sides, nodes[sides.size:])))
     assert radii.size == 1600
     batch = model.eval(radii)
-    for i, radius in enumerate(radii):
-        np.testing.assert_array_equal(model.profile(float(radius)),
-                                      batch[:, i])
+    single = np.array([model.profile(float(r)) for r in radii]).T
+    np.testing.assert_array_equal(single, batch)
+
+
+def test_closed_form_profile_is_bit_invariant_to_batching(analytic_half):
+    edges = hooke._table_edges(0.5, 24.0 / math.sqrt(0.5))
+    assert edges[0] == _series_switch(0.5)
+    _assert_bit_invariant_at_edges(analytic_half.model, edges,
+                                   analytic_half.grid.positive_nodes)
+
+
+def test_solver_table_is_bit_invariant_at_panel_edges(hooke_solution):
+    model = hooke_solution(0.25).density
+    edges = hooke._table_edges(0.25, 12.0 / math.sqrt(0.25))
+    assert edges[-1] == model.r_support
+    _assert_bit_invariant_at_edges(
+        model, edges, radial.grid_for_density(model).positive_nodes)
 
 
 def test_ks_kinetic_matches_an_independent_taut_oracle(hooke_solution):

@@ -41,13 +41,6 @@ def test_exponential_jet():
     assert jet == pytest.approx(want, rel=1e-14)
 
 
-def test_erf_jet():
-    r, beta = 0.8, 1.0 / math.sqrt(2.0)
-    jet = jets.erf_scaled(r, beta)
-    want = _mp_jet(lambda t: mp.erf(beta * t), r)
-    assert jet == pytest.approx(want, rel=1e-12)
-
-
 def test_power_and_polynomial_are_exact():
     r = 1.5
     assert jets.power(r, 4) == pytest.approx(
