@@ -720,6 +720,19 @@ def test_convergence_run_hooke_kernel_is_evaluated_in_blocks():
     assert _eval_peak_bytes(solution.density) < 2e6
 
 
+@pytest.mark.parametrize("size", [21, 22, 23, 47])
+def test_hooke_kernel_blocks_are_bit_invariant(hooke_solution, size):
+    # Radii either side of the series switch (0.85 bohr) and across
+    # the table's panels: a batch of any size gives each radius the
+    # jet it gets alone.
+    model = hooke_solution(0.25).density
+    radii = np.geomspace(0.5, 12.0, size)
+    assert radii[-1] < model.r_support
+    batch = model.profile(radii)
+    single = np.array([model.profile(float(r)) for r in radii]).T
+    np.testing.assert_array_equal(single, batch)
+
+
 def test_kept_hooke_solutions_stay_small():
     # A kept solution holds the density's series and its (16, 5, 11)
     # Chebyshev table at omega = 1/4: about 10 KB in all, the size of
