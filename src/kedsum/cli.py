@@ -28,7 +28,7 @@ from .radial import PV_WINDOW_FRACTION, DensityModel, PrincipalValueError, \
     QuadratureError, grid_for_density, load_density_table, \
     tabulated_derivatives
 from .resum import ALL_METHODS, EVALUATORS, PadePole, ResumMethod, \
-    error_columns, method_poles, table_headers, tau_table
+    error_columns, method_poles, table_headers
 
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
@@ -212,10 +212,9 @@ def dump(omega, basis, table, rmax, points, csv_path):
         else:
             rmax = grid.r_max if rmax is None else rmax
             radii = np.geomspace(rmax * 1e-4, rmax, points)
-        table = tau_table(model, grid)
         near_pole = {}
-        for method in pades:
-            poles = np.array(method_poles(model, method, grid, table))
+        for method, poles in zip(pades, method_poles(model, pades, grid)):
+            poles = np.array(poles)
             near_pole[f"{method.value}-pole"] = np.any(
                 np.abs(radii[:, None] - poles) < PV_WINDOW_FRACTION * poles,
                 axis=1)

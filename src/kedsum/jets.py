@@ -58,10 +58,10 @@ def power(r, m: int) -> np.ndarray:
 def polynomial(r, coeffs) -> np.ndarray:
     """sum_m coeffs[m] * r**m, derivatives taken term by term.
 
-    d^k/dr^k sum_m c_m r^m = sum_j c_(j+k) (j+k)!/j! r^j: one matrix of
-    derivative coefficients times the powers r^0 .. r^(M-1), summed
-    along a last axis so that a radius gets the same bits alone as in a
-    batch.
+    d^k/dr^k sum_m c_m r^m = sum_j c_(j+k) (j+k)!/j! r^j: one column of
+    derivative coefficients per power of r, summed by Horner's rule on
+    one jet-shaped accumulator.  Every step is elementwise, so a radius
+    gets the same bits alone as in a batch.
     """
     r = np.asarray(r, dtype=float)
     coeffs = np.asarray(coeffs, dtype=float)
@@ -72,8 +72,12 @@ def polynomial(r, coeffs) -> np.ndarray:
     for k in range(min(ORDERS, size)):
         table[k, :size - k] = (coeffs * fall)[k:]
         fall = fall * (m - k)
-    powers = r[..., None, None] ** m
-    return np.moveaxis(np.sum(table * powers, axis=-1), -1, 0)
+    table = table.reshape((ORDERS, size) + (1,) * r.ndim)
+    out = np.zeros((ORDERS,) + r.shape)
+    for j in range(size - 1, -1, -1):
+        out *= r
+        out += table[:, j]
+    return out
 
 
 def hermite_values(x, n_max: int) -> np.ndarray:

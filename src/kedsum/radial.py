@@ -8,9 +8,11 @@ the only geometry is the radial half-line.  This module owns:
   ``blockwise`` for profiles whose temporaries grow with the batch,
 * ``RadialGrid`` -- power-spaced scan nodes up to the integration
   cutoff, kept as their recipe ``(r_min, r_max, n)``,
-* ``integrate_radial`` -- adaptive quadrature of ``4 pi r^2 f(r)``,
-* ``find_poles`` -- sign changes of a denominator, narrowed by
-  vectorised Illinois steps and finished by a secant step,
+* ``integrate_radial`` -- adaptive quadrature of ``4 pi r^2 f(r)``, for
+  one integrand or a stack of them on one interval list,
+* ``find_poles`` -- sign changes of a denominator, or of a stack of
+  them, narrowed by vectorised Illinois steps and finished by a secant
+  step,
 * ``principal_value_integrate`` -- Cauchy principal values across simple
   poles of resummed integrands: symmetric windows around the poles, and
   the plain segments between them with every pole's A/(r - r*) tail
@@ -19,7 +21,9 @@ the only geometry is the radial half-line.  This module owns:
   ``(r, rho)`` samples by a quintic spline in ``log rho``.
 
 Quadrature is a globally adaptive Gauss-Kronrod 10/21 rule in numpy
-(``quad``) that evaluates each refinement round as one batch of radii.
+(``quad``) that evaluates each refinement round as one batch of radii;
+a stacked integrand spends each batch on every row, and each row is
+held to its own tolerance.
 Splines are FITPACK's: ``tabulated_derivatives`` imports scipy when it
 is called, and it is the only code that does, so atoms and Hooke
 densities never load scipy.
@@ -265,37 +269,45 @@ def _weighted(f: Callable, r):
 def _gk21(f: Callable, lo: np.ndarray, hi: np.ndarray):
     """QUADPACK's qk21 on every interval [lo_i, hi_i], f called once.
 
-    Returns each interval's Kronrod estimate and its error estimate:
-    the Gauss-Kronrod difference, scaled against the integrand's spread
-    over the interval and floored at 50 ulps of the integral of |f|.
-    A value of f that is not finite raises ``QuadratureError`` naming
-    the smallest such radius.
+    f returns one value per radius, or an ``(m, n)`` array: m integrands
+    at the same n radii.  Returns each interval's Kronrod estimate and
+    its error estimate, shaped like f's values with the radii replaced
+    by the intervals: the Gauss-Kronrod difference, scaled against the
+    integrand's spread over the interval and floored at 50 ulps of the
+    integral of |f|.  A row gets the same bits as it would alone.  A
+    value of f that is not finite raises ``QuadratureError`` naming the
+    smallest such radius, and its row when f has several.
     """
 
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     radii = (center[:, None] + half[:, None] * GK21_NODES).ravel()
     values = np.asarray(f(radii), dtype=float)
-    bad = ~np.isfinite(values)
+    rows = values.reshape(-1, radii.size)
+    bad = ~np.isfinite(rows)
     if np.any(bad):
-        i = int(np.argmin(np.where(bad, radii, np.inf)))
+        i = int(np.argmin(np.where(np.any(bad, axis=0), radii, np.inf)))
+        row = int(np.argmax(bad[:, i]))
+        which = "integrand" if len(rows) == 1 else f"integrand row {row}"
         raise QuadratureError(
-            f"integrand is not finite at r={radii[i]:.12g} "
-            f"(got {values[i]})")
-    values = values.reshape(lo.size, GK21_NODES.size)
-    kronrod = values @ GK21_WEIGHTS
-    gauss = values[:, 1::2] @ GAUSS10_WEIGHTS
+            f"{which} is not finite at r={radii[i]:.12g} "
+            f"(got {rows[row, i]})")
+    # A stacked matmul rounds each row as a lone one would.
+    rows = rows.reshape(-1, lo.size, GK21_NODES.size)
+    kronrod = rows @ GK21_WEIGHTS
+    gauss = rows[..., 1::2] @ GAUSS10_WEIGHTS
     mean = 0.5 * kronrod
     abs_half = np.abs(half)
-    resabs = (np.abs(values) @ GK21_WEIGHTS) * abs_half
-    resasc = (np.abs(values - mean[:, None]) @ GK21_WEIGHTS) * abs_half
+    resabs = (np.abs(rows) @ GK21_WEIGHTS) * abs_half
+    resasc = (np.abs(rows - mean[..., None]) @ GK21_WEIGHTS) * abs_half
     error = np.abs((kronrod - gauss) * half)
     nonflat = resasc != 0.0
     ratio = 200.0 * error / np.where(nonflat, resasc, 1.0)
     error = np.where(nonflat, resasc * np.minimum(1.0, ratio ** 1.5), error)
     floor = resabs > _TINY / (50.0 * _EPS)
     error = np.where(floor, np.maximum(50.0 * _EPS * resabs, error), error)
-    return kronrod * half, error
+    shape = values.shape[:-1] + lo.shape
+    return (kronrod * half).reshape(shape), error.reshape(shape)
 
 
 def quad(f: Callable, a, b):
@@ -303,43 +315,61 @@ def quad(f: Callable, a, b):
 
     a and b are floats, or equal-length arrays of interval ends whose
     integrals are summed; either way every interval starts in one
-    interval list, refined under one tolerance.  f takes a 1-d array of
-    radii and returns an array of values; the endpoints are never
-    evaluated, and a value that is not finite raises
-    ``QuadratureError``.  Each round evaluates the 21 nodes of every
-    interval that still needs work in one call of f, then bisects the
-    intervals with the largest error estimates, as many as it takes for
-    their errors to cover the excess over the tolerance
-    max(QUAD_ABSTOL, QUAD_RELTOL |value|), and at most QUAD_LIMIT
-    intervals in all.
+    interval list.  f takes a 1-d array of n radii and returns n values,
+    or an ``(m, n)`` array of m integrands that share the interval list;
+    the endpoints are never evaluated, and a value that is not finite
+    raises ``QuadratureError``.  Each round evaluates the 21 nodes of
+    every interval that still needs work in one call of f.  Then every
+    integrand whose error estimate exceeds its own tolerance
+    max(QUAD_ABSTOL, QUAD_RELTOL |value|) picks the intervals with its
+    largest error estimates, as many as it takes for their errors to
+    cover its excess, and the round bisects the union of the picks, in
+    the order first picked, keeping at most QUAD_LIMIT intervals in all.
+    A lone integrand and a one-row stack take the same steps and get
+    the same bits.
 
-    Returns ``(value, abserr, info)``; ``info["neval"]`` counts the
-    integrand values and ``info["status"]`` is 0 on convergence, 1 when
-    the interval limit is reached and 2 when an interval is too small to
-    bisect.
+    Returns ``(value, abserr, info)``: floats for a 1-d f, arrays of m
+    for a stacked one.  ``info["neval"]`` counts the radii f was called
+    on, and ``info["status"]`` is 0 when every integrand converged, 1
+    when the interval limit is reached and 2 when an interval is too
+    small to bisect.
     """
 
-    lo = hi = values = errors = np.empty(0)
+    lo = hi = np.empty(0)
     new_lo, new_hi = (np.array(a, dtype=float, ndmin=1),
                       np.array(b, dtype=float, ndmin=1))
+    values = errors = None
     neval, status = 0, 0
     while True:
         new_values, new_errors = _gk21(f, new_lo, new_hi)
+        scalar = new_values.ndim == 1
+        new_values, new_errors = (np.atleast_2d(new_values),
+                                  np.atleast_2d(new_errors))
         neval += GK21_NODES.size * new_lo.size
         lo, hi = np.concatenate((lo, new_lo)), np.concatenate((hi, new_hi))
-        values = np.concatenate((values, new_values))
-        errors = np.concatenate((errors, new_errors))
-        value, abserr = float(np.sum(values)), float(np.sum(errors))
-        excess = abserr - max(QUAD_ABSTOL, QUAD_RELTOL * abs(value))
-        if excess <= 0.0:
+        if values is None:
+            values, errors = new_values, new_errors
+        else:
+            values = np.concatenate((values, new_values), axis=1)
+            errors = np.concatenate((errors, new_errors), axis=1)
+        value, abserr = values.sum(axis=1), errors.sum(axis=1)
+        excess = abserr - np.maximum(QUAD_ABSTOL,
+                                     QUAD_RELTOL * np.abs(value))
+        if np.all(excess <= 0.0):
             break
         room = QUAD_LIMIT - lo.size
         if room == 0:
             status = 1
             break
-        order = np.argsort(-errors, kind="stable")
-        count = int(np.searchsorted(np.cumsum(errors[order]), excess)) + 1
-        pick = order[:min(count, room)]
+        picks = []
+        for row, over in zip(errors, excess):
+            if over > 0.0:
+                order = np.argsort(-row, kind="stable")
+                count = int(np.searchsorted(np.cumsum(row[order]), over)) + 1
+                picks.append(order[:count])
+        picks = np.concatenate(picks)
+        first = np.sort(np.unique(picks, return_index=True)[1])
+        pick = picks[first[:room]]
         mid = 0.5 * (lo[pick] + hi[pick])
         # QUADPACK's test for an interval too small to split further.
         if np.any(np.maximum(np.abs(lo[pick]), np.abs(hi[pick]))
@@ -351,58 +381,68 @@ def quad(f: Callable, a, b):
         keep = np.ones(lo.size, dtype=bool)
         keep[pick] = False
         lo, hi = lo[keep], hi[keep]
-        values, errors = values[keep], errors[keep]
+        values, errors = values[:, keep], errors[:, keep]
+    if scalar:
+        value, abserr = float(value[0]), float(abserr[0])
     return value, abserr, {"neval": neval, "status": status}
 
 
-def _quad_segment(g: Callable, lo, hi) -> float:
+def _quad_segment(g: Callable, lo, hi):
     """``quad`` on the weighted integrand g over [lo, hi].
 
     g is already the full integrand, the 4 pi r^2 measure included, and
-    takes arrays of radii.  lo and hi are floats, or arrays of interval
-    ends integrated as one interval list.  Status 2 (an interval too
-    small to bisect) is accepted when the error estimate is already tiny
-    against the value; any other failure raises with the best estimate
+    takes arrays of radii; it may return a stack of integrands, as for
+    ``quad``.  lo and hi are floats, or arrays of interval ends
+    integrated as one interval list.  Status 2 (an interval too small
+    to bisect) is accepted when every error estimate is already tiny
+    against its value; any other failure raises with the best estimate
     attached.
     """
 
     value, abserr, info = quad(g, lo, hi)
     status = info["status"]
-    if status and not (status == 2 and abserr <= 1e-9 * max(abs(value),
-                                                             1.0)):
+    if status and not (status == 2 and np.all(
+            abserr <= 1e-9 * np.maximum(np.abs(value), 1.0))):
+        estimate = ", ".join(f"{v:.12g}" for v in np.atleast_1d(value))
+        error = ", ".join(f"{e:.3g}" for e in np.atleast_1d(abserr))
         raise QuadratureError(
             f"quadrature on [{np.min(lo):g}, {np.max(hi):g}] did not "
-            f"converge (status {status}, estimate {value:.12g}, "
-            f"error {abserr:.3g})",
+            f"converge (status {status}, estimate {estimate}, "
+            f"error {error})",
             best_estimate=value, achieved_error=abserr)
     return value
 
 
-def integrate_radial(f: Callable, grid: RadialGrid) -> float:
+def integrate_radial(f: Callable, grid: RadialGrid):
     """Adaptive estimate of ``4 pi int_0^rmax r^2 f(r) dr``.
 
-    f takes a 1-d array of radii; ``quad`` calls it once per refinement
-    round, and a value that is not finite raises ``QuadratureError``
-    naming the smallest such radius.
+    f takes a 1-d array of radii and returns a value per radius, giving
+    a float, or an ``(m, n)`` stack of m integrands, giving m integrals
+    from one interval list (see ``quad``).  ``quad`` calls f once per
+    refinement round, and a value that is not finite raises
+    ``QuadratureError`` naming the smallest such radius.
     """
 
     return _quad_segment(lambda r: _weighted(f, r), 0.0, grid.r_max)
 
 
 def find_poles(denominator: Callable, grid: RadialGrid,
-               node_values: np.ndarray | None = None) -> list[float]:
+               node_values: np.ndarray | None = None):
     """Locate sign changes of ``denominator`` between adjacent nodes.
 
-    The scan reads the denominator on the positive grid nodes:
-    ``node_values`` when the caller already holds them, else one batched
-    ``denominator(grid.positive_nodes)``.  Every bracket is then narrowed
-    at once by Illinois steps (Dowell and Jarratt, 1971): regula falsi
-    that halves the stored value of an end kept twice in a row, so both
-    ends close in superlinearly.  Each step calls the denominator once,
-    on one point in every bracket still wider than 1e-12 * r_max.  The
-    sign test reads the true end values and only the falsi point the
-    halved copies; the point stays half that width inside the bracket,
-    so an end already on the root still lets the other one close in.  A
+    ``denominator`` maps a 1-d array of radii to one value per radius,
+    or to an ``(m, n)`` stack of m denominators scanned together.  The
+    scan reads it on the positive grid nodes: ``node_values`` when the
+    caller already holds them, else one batched
+    ``denominator(grid.positive_nodes)``.  Every bracket of every row is
+    then narrowed at once by Illinois steps (Dowell and Jarratt, 1971):
+    regula falsi that halves the stored value of an end kept twice in a
+    row, so both ends close in superlinearly.  Each step calls the
+    denominator once, on one point in every bracket still wider than
+    1e-12 * r_max, and reads each bracket's own row.  The sign test
+    reads the true end values and only the falsi point the halved
+    copies; the point stays half that width inside the bracket, so an
+    end already on the root still lets the other one close in.  A
     bracket that is not at most half as wide as three steps before is
     bisected instead, so every bracket at least halves in four steps.
     An exact zero closes its bracket.  Each final bracket is finished by
@@ -411,25 +451,32 @@ def find_poles(denominator: Callable, grid: RadialGrid,
     within rounding of the denominator; the window rule of
     ``principal_value_integrate`` is first-order in the pole offset, so
     a bracket midpoint would leave a relative error of order 1e-7 in
-    the principal value.  Only odd-order (sign-changing) roots are
-    seen, which is what the principal-value machinery can handle
-    anyway.
+    the principal value.  Brackets step independently, so a row's poles
+    are the same bits whether it is scanned alone or in a stack.  Only
+    odd-order (sign-changing) roots are seen, which is what the
+    principal-value machinery can handle anyway.
+
+    Returns the sorted poles, or one sorted list per row for a stack.
     """
 
     nodes = grid.positive_nodes
     values = denominator(nodes) if node_values is None else node_values
-    values = np.broadcast_to(np.asarray(values, dtype=float), nodes.shape)
-    if not np.all(np.isfinite(values)):
-        bad = nodes[~np.isfinite(values)][0]
+    values = np.asarray(values, dtype=float)
+    stacked = values.ndim == 2
+    values = np.broadcast_to(values, values.shape[:-1] + nodes.shape)
+    values = values.reshape(-1, nodes.size)
+    finite = np.all(np.isfinite(values), axis=0)
+    if not np.all(finite):
+        bad = nodes[~finite][0]
         raise ValueError(f"denominator is not finite at r={bad:.12g}")
 
-    left, right = values[:-1], values[1:]
-    brackets = np.flatnonzero((left == 0.0) | (left * right < 0.0))
-    a, fa = nodes[brackets], values[brackets]
+    left, right = values[:, :-1], values[:, 1:]
+    row, brackets = np.nonzero((left == 0.0) | (left * right < 0.0))
+    a, fa = nodes[brackets], values[row, brackets]
     # A root on a left node closes its bracket there.
     closed = fa == 0.0
     b = np.where(closed, a, nodes[brackets + 1])
-    fb = np.where(closed, fa, values[brackets + 1])
+    fb = np.where(closed, fa, values[row, brackets + 1])
     # The end values the falsi point reads, halved where an end is kept
     # twice in a row; kept is +1 where the last step kept a, -1 for b.
     ga, gb = fa.copy(), fb.copy()
@@ -448,7 +495,8 @@ def find_poles(denominator: Callable, grid: RadialGrid,
         x = np.where(width > 0.5 * widths[0, open_], 0.5 * (lo + hi),
                      np.clip(falsi, lo + margin, hi - margin))
         widths[:, open_] = np.vstack((widths[1:, open_], width))
-        fx = denominator(x)
+        fx = np.reshape(denominator(x), (-1, x.size))[row[open_],
+                                                       np.arange(x.size)]
         left_half = fa[open_] * fx < 0.0
         # An exact zero closes its bracket: both ends move to x.
         to_b = left_half | (fx == 0.0)
@@ -463,10 +511,11 @@ def find_poles(denominator: Callable, grid: RadialGrid,
     # The secant step; an exact zero or a flat pair keeps the midpoint.
     flat = (fa == 0.0) | (fb == fa)
     secant = a - fa * (b - a) / np.where(flat, 1.0, fb - fa)
-    poles = np.where(flat, 0.5 * (a + b), np.clip(secant, a, b)).tolist()
-    if values[-1] == 0.0:
-        poles.append(float(nodes[-1]))
-    return sorted(poles)
+    poles = np.where(flat, 0.5 * (a + b), np.clip(secant, a, b))
+    found = [sorted(poles[row == i].tolist()
+                    + ([float(nodes[-1])] if last == 0.0 else []))
+             for i, last in enumerate(values[:, -1])]
+    return found if stacked else found[0]
 
 
 def _pole_windows(poles: np.ndarray, r_max: float) -> np.ndarray:

@@ -190,61 +190,67 @@ def tau_table(model: DensityModel, grid: RadialGrid) -> np.ndarray:
     return tau_point(model.eval(nodes), nodes)
 
 
-def method_poles(model: DensityModel, method: ResumMethod, grid: RadialGrid,
-                 table: np.ndarray | None = None) -> list[float]:
-    """Poles of a method's integrand on the grid.
+def method_poles(model: DensityModel, methods,
+                 grid: RadialGrid) -> list[list[float]]:
+    """Poles of each method's integrand on the grid, one list a method.
 
-    For a Pade method these are the sign changes of its denominator,
-    scanned on the tau table and bisected together, one batch of
-    midpoints per step; partial sums have none.
+    For the Pade methods these are the sign changes of their
+    denominators, read off the density's ``tau_table`` on this grid and
+    narrowed in one ``find_poles`` scan that evaluates the density once
+    per step for every bracket of every method.  Partial sums have none
+    and never build the table.
     """
 
-    denominator = _DENOMINATORS.get(method)
-    if denominator is None:
-        return []
-    if table is None:
-        table = tau_table(model, grid)
-    return find_poles(lambda r: denominator(tau_point(model.eval(r), r)),
-                      grid, denominator(table))
+    methods = list(methods)
+    pades = [m for m in methods if m in _DENOMINATORS]
+    if not pades:
+        return [[] for _ in methods]
 
+    def denominators(p):
+        return np.array([_DENOMINATORS[m](p) for m in pades])
 
-def integrate_method(model: DensityModel, method: ResumMethod,
-                     grid: RadialGrid, t_ref: float | None = None,
-                     table: np.ndarray | None = None) -> KineticReport:
-    """Total kinetic energy of one method over one density.
-
-    Pade methods first scan ``table``, the density's ``tau_table`` on
-    this grid (built when not given), for sign changes of their
-    denominator; any poles found switch the integral over to the
-    principal-value route and are recorded in the report.  Partial sums
-    never read the table: ``quad`` checks every value it integrates.
-    """
-
-    evaluate = EVALUATORS[method]
-
-    def integrand(r):
-        return evaluate(tau_point(model.eval(r), r))
-
-    poles = method_poles(model, method, grid, table)
-    if poles:
-        value = principal_value_integrate(integrand, poles, grid)
-    else:
-        value = integrate_radial(integrand, grid)
-    return KineticReport(method=method, T=value, t_ref=t_ref,
-                         poles=tuple(poles))
+    found = dict(zip(pades, find_poles(
+        lambda r: denominators(tau_point(model.eval(r), r)), grid,
+        denominators(tau_table(model, grid)))))
+    return [found.get(m, []) for m in methods]
 
 
 def run_methods(model: DensityModel, methods, grid: RadialGrid,
-                t_ref: float) -> list[KineticReport]:
-    """Integrate several methods against one reference.
+                t_ref: float | None = None) -> list[KineticReport]:
+    """Total kinetic energy of each method over one density.
 
-    The Pade methods share one tau table, built only when one of them
-    is asked for.
+    The Pade methods' denominators are scanned together for sign
+    changes (``method_poles``).  Every method without a pole, the
+    partial sums and any Pade method whose scan finds none, is then
+    integrated in one ``integrate_radial`` call on one interval list,
+    so each density evaluation serves all of them.  A Pade method with
+    poles takes the principal-value route on its own, and its poles are
+    recorded in its report.
     """
-    table = (tau_table(model, grid)
-             if any(m in _DENOMINATORS for m in methods) else None)
-    return [integrate_method(model, m, grid, t_ref=t_ref, table=table)
-            for m in methods]
+
+    methods = list(methods)
+    poles = dict(zip(methods, method_poles(model, methods, grid)))
+    plain = [m for m in methods if not poles[m]]
+
+    def integrands(r, chosen=plain):
+        p = tau_point(model.eval(r), r)
+        return np.array([EVALUATORS[m](p) for m in chosen])
+
+    values = dict(zip(plain, integrate_radial(integrands, grid)
+                      if plain else ()))
+    for m in methods:
+        if poles[m]:
+            values[m] = principal_value_integrate(
+                lambda r: integrands(r, [m])[0], poles[m], grid)
+    return [KineticReport(method=m, T=float(values[m]), t_ref=t_ref,
+                          poles=tuple(poles[m])) for m in methods]
+
+
+def integrate_method(model: DensityModel, method: ResumMethod,
+                     grid: RadialGrid,
+                     t_ref: float | None = None) -> KineticReport:
+    """``run_methods`` with one method."""
+    return run_methods(model, [method], grid, t_ref)[0]
 
 
 def table_headers(key: str, reference: str,
