@@ -83,8 +83,9 @@ def _parse_methods(spec: str) -> tuple[ResumMethod, ...]:
 
 def _emit_row(headers, make_row, csv_path):
     """Compute a row, print it aligned under its headers, and mirror it
-    to CSV when asked."""
-    with _exits():
+    to CSV when asked.  A ``ValueError`` past the basis checks, such as
+    a density kedf refuses, exits 4 as a numerical failure."""
+    with _exits(numerical=(ValueError,)):
         row = make_row()
     widths = [max(len(h), len(v)) for h, v in zip(headers, row)]
     click.echo("  ".join(h.rjust(w) for h, w in zip(headers, widths)))

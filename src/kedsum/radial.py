@@ -11,8 +11,8 @@ the only geometry is the radial half-line.  This module owns:
 * ``integrate_radial`` -- adaptive quadrature of ``4 pi r^2 f(r)``, for
   one integrand or a stack of them on one interval list,
 * ``find_poles`` -- sign changes of a denominator, or of a stack of
-  them, narrowed by vectorised Illinois steps and finished by a secant
-  step,
+  them, read in one batched call on the grid nodes, narrowed by
+  vectorised Illinois steps and finished by a secant step,
 * ``principal_value_integrate`` -- Cauchy principal values across simple
   poles of resummed integrands: symmetric windows around the poles, and
   the plain segments between them with every pole's A/(r - r*) tail
@@ -23,7 +23,9 @@ the only geometry is the radial half-line.  This module owns:
 Quadrature is a globally adaptive Gauss-Kronrod 10/21 rule in numpy
 (``quad``) that evaluates each refinement round as one batch of radii;
 a stacked integrand spends each batch on every row, and each row is
-held to its own tolerance.
+held to its own tolerance.  ``quad`` returns each value with its error
+estimate and raises ``QuadratureError`` when it cannot meet the
+tolerance, so no caller reads a status.
 Splines are FITPACK's: ``tabulated_derivatives`` imports scipy when it
 is called, and it is the only code that does, so atoms and Hooke
 densities never load scipy.
@@ -330,9 +332,11 @@ def quad(f: Callable, a, b):
 
     Returns ``(value, abserr, info)``: floats for a 1-d f, arrays of m
     for a stacked one.  ``info["neval"]`` counts the radii f was called
-    on, and ``info["status"]`` is 0 when every integrand converged, 1
-    when the interval limit is reached and 2 when an interval is too
-    small to bisect.
+    on, and ``info["status"]`` is 0 when every integrand converged and
+    2 when an interval grew too small to bisect but every error
+    estimate is already within 1e-9 of max(|value|, 1).  Any other stop,
+    the interval limit included, raises ``QuadratureError`` carrying the
+    best estimate and its error.
     """
 
     lo = hi = np.empty(0)
@@ -384,33 +388,16 @@ def quad(f: Callable, a, b):
         values, errors = values[:, keep], errors[:, keep]
     if scalar:
         value, abserr = float(value[0]), float(abserr[0])
-    return value, abserr, {"neval": neval, "status": status}
-
-
-def _quad_segment(g: Callable, lo, hi):
-    """``quad`` on the weighted integrand g over [lo, hi].
-
-    g is already the full integrand, the 4 pi r^2 measure included, and
-    takes arrays of radii; it may return a stack of integrands, as for
-    ``quad``.  lo and hi are floats, or arrays of interval ends
-    integrated as one interval list.  Status 2 (an interval too small
-    to bisect) is accepted when every error estimate is already tiny
-    against its value; any other failure raises with the best estimate
-    attached.
-    """
-
-    value, abserr, info = quad(g, lo, hi)
-    status = info["status"]
     if status and not (status == 2 and np.all(
             abserr <= 1e-9 * np.maximum(np.abs(value), 1.0))):
         estimate = ", ".join(f"{v:.12g}" for v in np.atleast_1d(value))
         error = ", ".join(f"{e:.3g}" for e in np.atleast_1d(abserr))
         raise QuadratureError(
-            f"quadrature on [{np.min(lo):g}, {np.max(hi):g}] did not "
+            f"quadrature on [{np.min(a):g}, {np.max(b):g}] did not "
             f"converge (status {status}, estimate {estimate}, "
             f"error {error})",
             best_estimate=value, achieved_error=abserr)
-    return value
+    return value, abserr, {"neval": neval, "status": status}
 
 
 def integrate_radial(f: Callable, grid: RadialGrid):
@@ -419,21 +406,20 @@ def integrate_radial(f: Callable, grid: RadialGrid):
     f takes a 1-d array of radii and returns a value per radius, giving
     a float, or an ``(m, n)`` stack of m integrands, giving m integrals
     from one interval list (see ``quad``).  ``quad`` calls f once per
-    refinement round, and a value that is not finite raises
-    ``QuadratureError`` naming the smallest such radius.
+    refinement round; a value that is not finite raises
+    ``QuadratureError`` naming the smallest such radius, and so does a
+    run that does not converge.
     """
 
-    return _quad_segment(lambda r: _weighted(f, r), 0.0, grid.r_max)
+    return quad(lambda r: _weighted(f, r), 0.0, grid.r_max)[0]
 
 
-def find_poles(denominator: Callable, grid: RadialGrid,
-               node_values: np.ndarray | None = None):
+def find_poles(denominator: Callable, grid: RadialGrid):
     """Locate sign changes of ``denominator`` between adjacent nodes.
 
     ``denominator`` maps a 1-d array of radii to one value per radius,
     or to an ``(m, n)`` stack of m denominators scanned together.  The
-    scan reads it on the positive grid nodes: ``node_values`` when the
-    caller already holds them, else one batched
+    scan reads it on the positive grid nodes, in one batched call
     ``denominator(grid.positive_nodes)``.  Every bracket of every row is
     then narrowed at once by Illinois steps (Dowell and Jarratt, 1971):
     regula falsi that halves the stored value of an end kept twice in a
@@ -460,8 +446,7 @@ def find_poles(denominator: Callable, grid: RadialGrid,
     """
 
     nodes = grid.positive_nodes
-    values = denominator(nodes) if node_values is None else node_values
-    values = np.asarray(values, dtype=float)
+    values = np.asarray(denominator(nodes), dtype=float)
     stacked = values.ndim == 2
     values = np.broadcast_to(values, values.shape[:-1] + nodes.shape)
     values = values.reshape(-1, nodes.size)
@@ -645,7 +630,7 @@ def principal_value_integrate(f: Callable,
 
     tails = np.log(np.abs(np.subtract.outer(hi, poles)
                           / np.subtract.outer(lo, poles))).sum(axis=0)
-    value = (_quad_segment(smooth, lo, hi) + float(residues @ tails)
+    value = (quad(smooth, lo, hi)[0] + float(residues @ tails)
              + float(np.sum(windows)))
     magnitude = float(np.sum(np.abs(windows)))
     if PV_WINDOW_ROUNDOFF * magnitude > max(QUAD_ABSTOL,
@@ -722,6 +707,10 @@ def tabulated_derivatives(r: np.ndarray, rho: np.ndarray,
     rho = np.asarray(rho, dtype=float)
     if r.ndim != 1 or r.shape != rho.shape:
         raise ValueError("r and rho must be matching 1-d arrays")
+    finite = np.isfinite(r) & np.isfinite(rho)
+    if not np.all(finite):
+        i = int(np.argmin(finite))
+        raise ValueError(f"sample {i} is not finite (r={r[i]}, rho={rho[i]})")
     if r.size < 12:
         raise ValueError(
             f"insufficient samples for a quintic fit: got {r.size}, "

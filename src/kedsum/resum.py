@@ -177,28 +177,15 @@ _DENOMINATORS = {
 }
 
 
-def tau_table(model: DensityModel, grid: RadialGrid) -> np.ndarray:
-    """tau0..tau6 on every positive grid node, from one batched density
-    evaluation.
-
-    This (4, n) table is what the Pade methods' pole scans read;
-    quadrature, bisection and the PV windows evaluate the same functions
-    on batches of their own radii.
-    """
-
-    nodes = grid.positive_nodes
-    return tau_point(model.eval(nodes), nodes)
-
-
 def method_poles(model: DensityModel, methods,
                  grid: RadialGrid) -> list[list[float]]:
     """Poles of each method's integrand on the grid, one list a method.
 
     For the Pade methods these are the sign changes of their
-    denominators, read off the density's ``tau_table`` on this grid and
-    narrowed in one ``find_poles`` scan that evaluates the density once
-    per step for every bracket of every method.  Partial sums have none
-    and never build the table.
+    denominators, found by one ``find_poles`` scan of the stacked
+    denominators: it evaluates the density once on every positive grid
+    node, then once per narrowing step for every bracket of every
+    method.  Partial sums have none and never evaluate the grid nodes.
     """
 
     methods = list(methods)
@@ -206,12 +193,11 @@ def method_poles(model: DensityModel, methods,
     if not pades:
         return [[] for _ in methods]
 
-    def denominators(p):
+    def denominators(r):
+        p = tau_point(model.eval(r), r)
         return np.array([_DENOMINATORS[m](p) for m in pades])
 
-    found = dict(zip(pades, find_poles(
-        lambda r: denominators(tau_point(model.eval(r), r)), grid,
-        denominators(tau_table(model, grid)))))
+    found = dict(zip(pades, find_poles(denominators, grid)))
     return [found.get(m, []) for m in methods]
 
 

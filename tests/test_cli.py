@@ -196,6 +196,36 @@ def test_bad_table_exits_3(runner, tmp_path):
     assert "no samples" in result.output
 
 
+@pytest.mark.parametrize("column,index,value", [
+    (1, 20, np.nan), (1, 20, np.inf), (0, 0, np.nan), (0, 59, np.inf),
+])
+def test_non_finite_table_sample_exits_3(runner, tmp_path, column, index,
+                                         value):
+    r = np.linspace(0.05, 12.0, 60)
+    samples = np.column_stack((r, np.exp(-2.0 * r)))
+    samples[index, column] = value
+    table = tmp_path / "bad.dat"
+    np.savetxt(table, samples)
+    result = runner.invoke(main, ["dump", "--table", str(table),
+                                  "--csv", str(tmp_path / "out.csv")])
+    assert result.exit_code == 3, result.output
+    assert f"error: sample {index} is not finite" in result.output
+
+
+def test_density_refused_inside_a_row_exits_4(runner, tmp_path):
+    # A valid basis so tight that rho has underflowed to 0 at r = 1, the
+    # tail rule's first radius, where kedf refuses it with a ValueError.
+    basis = tmp_path / "tight.json"
+    basis.write_text(json.dumps({
+        "element": "X", "electron_count": 2,
+        "shells": [{"l": 0, "occ": 2,
+                    "primitives": [{"n": 1, "zeta": 1000.0}],
+                    "coeffs": [1.0]}]}), encoding="utf-8")
+    result = runner.invoke(main, ["atom", "--basis", str(basis)])
+    assert result.exit_code == 4, result.output
+    assert "error: tau4 needs rho > 0" in result.output
+
+
 def test_solver_failure_exits_4(runner, monkeypatch):
     def explode(params, **kwargs):
         raise SolverError("synthetic breakdown")

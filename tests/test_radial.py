@@ -244,6 +244,17 @@ def test_interior_singularity_raises_with_best_estimate():
     assert caught.value.achieved_error > 0.0
 
 
+def test_quad_raises_with_best_estimate_at_the_interval_limit():
+    # The singularity sits off every bisection point, so refinement
+    # runs into QUAD_LIMIT.
+    with pytest.raises(QuadratureError, match=r"status 1") as caught:
+        radial.quad(lambda r: np.abs(r - 1.0 / 3.0) ** -0.9, 0.0, 1.0)
+    exact = ((1.0 / 3.0) ** 0.1 + (2.0 / 3.0) ** 0.1) / 0.1
+    assert math.isfinite(caught.value.best_estimate)
+    assert caught.value.best_estimate == pytest.approx(exact, rel=0.05)
+    assert caught.value.achieved_error > 0.0
+
+
 def test_quad_never_evaluates_the_endpoints():
     def integrand(r):
         if np.any(r == 0.0):
@@ -697,6 +708,19 @@ def test_tabulated_rejects_bad_samples():
         tabulated_derivatives(r, np.zeros_like(r))
     with pytest.raises(ValueError, match="negative radius"):
         tabulated_derivatives(r - 0.5, np.exp(-r))
+
+
+@pytest.mark.parametrize("column,index,value", [
+    ("rho", 20, math.nan), ("rho", 20, math.inf),
+    ("r", 0, math.nan), ("r", -1, math.inf),
+])
+def test_tabulated_rejects_a_non_finite_sample(column, index, value):
+    r = np.linspace(0.05, 12.0, 60)
+    samples = {"r": r, "rho": np.exp(-2.0 * r)}
+    samples[column][index] = value
+    with pytest.raises(ValueError,
+                       match=rf"^sample {index % r.size} is not finite "):
+        tabulated_derivatives(samples["r"], samples["rho"])
 
 
 @pytest.mark.parametrize("factory,rmax", [

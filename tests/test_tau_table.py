@@ -1,7 +1,7 @@
 """The batched tau table against one radius at a time.
 
-The Pade pole scans read ``resum.tau_table``, which
-evaluates every grid node in one batch; the same functions also take a
+The Pade pole scan reads ``kedf.tau_point(model.eval(nodes), nodes)`` on
+every positive grid node in one batch; the same functions also take a
 single radius, as a float.  Both go through the same code, so they must
 agree node by node.
 """
@@ -19,8 +19,8 @@ def _scalar_table(model, nodes):
 
 
 def _assert_table_matches_scalar(model, grid):
-    batched = resum.tau_table(model, grid)
     nodes = grid.positive_nodes
+    batched = kedf.tau_point(model.eval(nodes), nodes)
     assert batched.shape == (4, nodes.size)
     np.testing.assert_allclose(batched, _scalar_table(model, nodes),
                                rtol=1e-13, atol=0.0)
