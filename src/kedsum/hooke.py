@@ -163,11 +163,13 @@ def _solve_relative(omega: float, lam: float, s_max: float):
             f"[{lo:g}, {hi:g}]")
     edge = float(np.max(np.abs(u[s >= 0.8 * s_max])) / np.max(np.abs(u)))
     if edge > _BOX_EDGE:
+        bound = 10.0 / math.sqrt(omega)
+        hint = (f"keep s_max at or above {bound:.3g} at omega={omega:g}"
+                if s_max < bound else f"at omega={omega:g} the repulsion "
+                "spreads it past 10/sqrt(omega), so it needs a longer box")
         raise SolverError(
             f"the box [0, {s_max:g}] is too short to hold the state: |u| "
-            f"over its last fifth reaches {edge:.2g} of its peak; keep "
-            f"s_max at or above {10.0 / math.sqrt(omega):.3g} at "
-            f"omega={omega:g}")
+            f"over its last fifth reaches {edge:.2g} of its peak; {hint}")
 
     scale = 1.0 / math.sqrt(_clenshaw_curtis(u * u, s_max))
     if u[np.argmax(np.abs(u))] < 0.0:

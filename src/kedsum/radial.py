@@ -6,13 +6,13 @@ the only geometry is the radial half-line.  This module owns:
 * ``DensityModel`` -- a density profile that maps radii to the
   ``(5, n)`` jet of rho and its first four radial derivatives, and
   ``blockwise`` for profiles whose temporaries grow with the batch,
-* ``RadialGrid`` -- power-spaced scan nodes up to the integration
-  cutoff, kept as their recipe ``(r_min, r_max, n)``,
+* ``RadialGrid`` -- the integration cutoff r_max,
 * ``integrate_radial`` -- adaptive quadrature of ``4 pi r^2 f(r)``, for
   one integrand or a stack of them on one interval list,
 * ``find_poles`` -- sign changes of a denominator, or of a stack of
-  them, read in one batched call on the grid nodes, narrowed by
-  vectorised Illinois steps and finished by a secant step,
+  them, read in one batched call on its own power-spaced nodes up to
+  the cutoff, narrowed by vectorised Illinois steps and finished by a
+  secant step,
 * ``principal_value_integrate`` -- Cauchy principal values across simple
   poles of resummed integrands: symmetric windows around the poles, and
   the plain segments between them with every pole's A/(r - r*) tail
@@ -187,43 +187,22 @@ def blockwise(profile: Callable, width: int) -> Callable:
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """``n`` scan nodes clustered toward r_min as t**2.5, t in [0, 1].
+    """The integration cutoff: every radial integral runs over [0, r_max].
 
-    The grid keeps only its recipe and rebuilds its nodes on each read,
-    which takes microseconds: a caller can hold one grid per table row
-    for the memory of three numbers.  The last node is r_max, the
-    integration cutoff.
+    A finite, positive r_max is the grid's one field; the pole scan lays
+    its own nodes up to it (see ``find_poles``).
     """
 
-    r_min: float
     r_max: float
-    n: int
 
     def __post_init__(self):
-        if not (0.0 <= self.r_min < self.r_max):
-            raise ValueError("need 0 <= r_min < r_max")
-        if self.n < 2:
-            raise ValueError("grid needs at least two nodes")
-        if np.any(np.diff(self.nodes) <= 0.0):
-            raise ValueError("grid nodes must be strictly increasing")
-
-    @property
-    def nodes(self) -> np.ndarray:
-        t = np.linspace(0.0, 1.0, self.n)
-        nodes = self.r_min + (self.r_max - self.r_min) * t ** 2.5
-        # r_min + (r_max - r_min) can round off r_max by an ulp.
-        nodes[-1] = self.r_max
-        return nodes
-
-    @property
-    def positive_nodes(self) -> np.ndarray:
-        """The nodes with r > 0, where integrands are tabulated."""
-        nodes = self.nodes
-        return nodes[nodes > 0.0]
+        if not 0.0 < self.r_max < math.inf:
+            raise ValueError(f"grid cutoff r_max must be finite and "
+                             f"positive, got {self.r_max!r}")
 
 
 def grid_for_density(model: DensityModel) -> RadialGrid:
-    """Pick a cutoff by the tail rule and lay 1600 power-spaced nodes.
+    """The grid whose cutoff r_max the tail rule picks for ``model``.
 
     r_max is the first radius of the ladder 1.25^k, evaluated as one
     batch, where the integrand weight 4 pi r^2 (tau0 + tau2 + |tau4|)
@@ -231,8 +210,7 @@ def grid_for_density(model: DensityModel) -> RadialGrid:
     finite).  The fourth-order term has the slowest-decaying tail of any
     integrand this package sums, so everything beyond the cutoff is
     negligible against the table precision targeted here; the
-    Thomas-Fermi weight alone is smaller still, which keeps the grid
-    invariant satisfied with a wide margin.
+    Thomas-Fermi weight alone is smaller still.
     """
 
     cap = model.r_support
@@ -260,7 +238,7 @@ def grid_for_density(model: DensityModel) -> RadialGrid:
     else:
         raise ValueError("tail rule did not terminate; density does "
                          "not decay")
-    return RadialGrid(r_max * 1e-5, r_max, 1600)
+    return RadialGrid(r_max)
 
 
 def _weighted(f: Callable, r):
@@ -414,13 +392,24 @@ def integrate_radial(f: Callable, grid: RadialGrid):
     return quad(lambda r: _weighted(f, r), 0.0, grid.r_max)[0]
 
 
+def _scan_nodes(r_max: float) -> np.ndarray:
+    """The pole scan's 1,600 nodes on [1e-5 r_max, r_max], clustered
+    toward the origin as t**2.5 for evenly spaced t in [0, 1]."""
+    r_min = 1e-5 * r_max
+    t = np.linspace(0.0, 1.0, 1600)
+    nodes = r_min + (r_max - r_min) * t ** 2.5
+    # r_min + (r_max - r_min) can round off r_max by an ulp.
+    nodes[-1] = r_max
+    return nodes
+
+
 def find_poles(denominator: Callable, grid: RadialGrid):
-    """Locate sign changes of ``denominator`` between adjacent nodes.
+    """Locate sign changes of ``denominator`` on [1e-5 r_max, r_max].
 
     ``denominator`` maps a 1-d array of radii to one value per radius,
     or to an ``(m, n)`` stack of m denominators scanned together.  The
-    scan reads it on the positive grid nodes, in one batched call
-    ``denominator(grid.positive_nodes)``.  Every bracket of every row is
+    scan reads it on ``_scan_nodes(grid.r_max)``, 1,600 nodes from
+    1e-5 r_max up, in one batched call.  Every bracket of every row is
     then narrowed at once by Illinois steps (Dowell and Jarratt, 1971):
     regula falsi that halves the stored value of an end kept twice in a
     row, so both ends close in superlinearly.  Each step calls the
@@ -445,7 +434,7 @@ def find_poles(denominator: Callable, grid: RadialGrid):
     Returns the sorted poles, or one sorted list per row for a stack.
     """
 
-    nodes = grid.positive_nodes
+    nodes = _scan_nodes(grid.r_max)
     values = np.asarray(denominator(nodes), dtype=float)
     stacked = values.ndim == 2
     values = np.broadcast_to(values, values.shape[:-1] + nodes.shape)
@@ -748,6 +737,5 @@ def tabulated_derivatives(r: np.ndarray, rho: np.ndarray,
 
     model = DensityModel(profile=profile, electron_count=math.nan,
                          label=label, r_support=float(r[-1]))
-    # The count reads only the grid's cutoff, the last sample.
-    count = integrate_radial(model.rho, RadialGrid(0.0, float(r[-1]), 2))
+    count = integrate_radial(model.rho, RadialGrid(float(r[-1])))
     return replace(model, electron_count=count)

@@ -179,13 +179,13 @@ _DENOMINATORS = {
 
 def method_poles(model: DensityModel, methods,
                  grid: RadialGrid) -> list[list[float]]:
-    """Poles of each method's integrand on the grid, one list a method.
+    """Poles of each method's integrand, one list a method.
 
     For the Pade methods these are the sign changes of their
     denominators, found by one ``find_poles`` scan of the stacked
-    denominators: it evaluates the density once on every positive grid
-    node, then once per narrowing step for every bracket of every
-    method.  Partial sums have none and never evaluate the grid nodes.
+    denominators: it evaluates the density once on all of the scan's
+    nodes, then once per narrowing step for every bracket of every
+    method.  Partial sums have none and never evaluate the scan nodes.
     """
 
     methods = list(methods)

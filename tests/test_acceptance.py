@@ -73,7 +73,7 @@ def test_criterion_2_hooke_solver_rows(hooke_bundle, announce):
             failures.append(
                 f"w={omega}: T_s {bundle.t_ref:.6f} vs {t_table} beyond 0.2%")
         r_max = HOOKE_SOLVER_RANGE / math.sqrt(omega)
-        grid = radial.RadialGrid(r_max * 1e-5, r_max, 1600)
+        grid = radial.RadialGrid(r_max)
         reports = resum.run_methods(bundle.model, METHOD_ORDER, grid,
                                     bundle.t_ref)
         errors = [rep.percent_error for rep in reports]
@@ -240,7 +240,7 @@ def test_criterion_8_pade_algebra(announce):
 
 def test_criterion_9_principal_value(atom_bundle, announce):
     failures = []
-    grid = radial.RadialGrid(1e-6, 2.0, 1200)
+    grid = radial.RadialGrid(2.0)
     four_pi = 4.0 * math.pi
 
     def weighted(numer):

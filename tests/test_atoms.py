@@ -258,10 +258,10 @@ JET_RADII = (1e-3, 0.05, 0.3, 1.0, 3.0, 10.0, 25.0)
 
 @pytest.mark.parametrize("element", BUNDLED)
 def test_profile_is_bit_invariant_to_batching(element, atom_bundle):
-    # The grid's radii and each one's next float up, alone and in one
+    # The pole scan's radii and each one's next float up, alone and in one
     # batch: the batch is taken a few hundred radii at a time.
     bundle = atom_bundle(element)
-    nodes = bundle.grid.positive_nodes
+    nodes = radial._scan_nodes(bundle.grid.r_max)
     radii = np.concatenate((nodes, np.nextafter(nodes, np.inf)))
     batch = bundle.model.profile(radii)
     single = np.array([bundle.model.profile(float(r)) for r in radii]).T

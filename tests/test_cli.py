@@ -236,6 +236,19 @@ def test_solver_failure_exits_4(runner, monkeypatch):
     assert "solver failed" in result.output
 
 
+@pytest.mark.parametrize("omega", ["3e-4", "2e-4", "1e-4"])
+def test_short_box_refusal_names_no_bound_the_box_meets(runner, omega):
+    # Below omega ~ 4e-4 the repulsion spreads the state past
+    # 10/sqrt(omega), so even the default box of 12/sqrt(omega), which
+    # meets that bound, is too short.
+    result = runner.invoke(main, ["hooke", "--omega", omega])
+    assert result.exit_code == 4, result.output
+    box = float(re.search(r"the box \[0, (\S+)\] is too short",
+                          result.output).group(1))
+    bounds = re.findall(r"at or above (\S+)", result.output)
+    assert all(float(bound) > box for bound in bounds), result.output
+
+
 # ---------------------------------------------------------------------------
 # The dump subcommand.
 # ---------------------------------------------------------------------------

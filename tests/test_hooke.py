@@ -212,7 +212,8 @@ def test_box_too_short_to_hold_the_state_is_refused():
     # On [0, 4] at omega = 1 the eigenvalue stays in its bracket, but
     # the wall squeezes u, whose last fifth still holds 0.31 of its
     # peak, and T_s comes out 4.6% high.
-    with pytest.raises(hooke.SolverError, match="too short to hold"):
+    with pytest.raises(hooke.SolverError,
+                       match="too short to hold.*at or above 10 at omega=1$"):
         hooke.solve_general(hooke.HookeParams(1.0), s_max=4.0)
 
 
@@ -233,7 +234,7 @@ def test_solver_density_matches_the_taut_density(hooke_solution):
     exact = hooke._reconstruct_density(
         omega, lambda s: _normalized_taut_u(omega, poly, s),
         12.0 / math.sqrt(omega), "taut")
-    r = radial.grid_for_density(model).positive_nodes
+    r = radial._scan_nodes(radial.grid_for_density(model).r_max)
     want = exact.rho(r)
     live = want > 1e-12
     assert np.all(np.abs(model.rho(r[live]) - want[live])
@@ -339,11 +340,11 @@ def _mp_density(omega, half, weight, r):
 
 @pytest.mark.parametrize("omega", [0.1, 0.25, 1.0, 4.0])
 def test_kernel_matches_the_direct_node_sum(relative_state, omega):
-    # Every positive grid node from the series switch on, where the
+    # Every pole-scan node from the series switch on, where the
     # panel kernel applies; below it the direct sum's 1/r cancels.
     u, model = relative_state(omega)
     half, weight = _panel_rule(u)
-    r = radial.grid_for_density(model).positive_nodes
+    r = radial._scan_nodes(radial.grid_for_density(model).r_max)
     r = r[r >= _series_switch(omega)]
     want = np.concatenate([_direct_density(omega, half, weight, r[i:i + 64])
                            for i in range(0, r.size, 64)], axis=1)
@@ -363,7 +364,7 @@ def test_kernel_matches_mpmath_at_switch_peak_and_tail(relative_state):
     for omega in (0.25, 1.0):
         u, model = relative_state(omega)
         half, weight = _panel_rule(u)
-        nodes = radial.grid_for_density(model).positive_nodes
+        nodes = radial._scan_nodes(radial.grid_for_density(model).r_max)
         peak = float(nodes[np.argmax(model.rho(nodes))])
         short = 0.2 / math.sqrt(2.0 * omega)
         switch = _series_switch(omega)
@@ -424,8 +425,9 @@ def _assert_bit_invariant_at_edges(model, edges, nodes):
 def test_closed_form_profile_is_bit_invariant_to_batching(analytic_half):
     edges = hooke._table_edges(0.5, 24.0 / math.sqrt(0.5))
     assert edges[0] == _series_switch(0.5)
-    _assert_bit_invariant_at_edges(analytic_half.model, edges,
-                                   analytic_half.grid.positive_nodes)
+    _assert_bit_invariant_at_edges(
+        analytic_half.model, edges,
+        radial._scan_nodes(analytic_half.grid.r_max))
 
 
 def test_solver_table_is_bit_invariant_at_panel_edges(hooke_solution):
@@ -433,7 +435,8 @@ def test_solver_table_is_bit_invariant_at_panel_edges(hooke_solution):
     edges = hooke._table_edges(0.25, 12.0 / math.sqrt(0.25))
     assert edges[-1] == model.r_support
     _assert_bit_invariant_at_edges(
-        model, edges, radial.grid_for_density(model).positive_nodes)
+        model, edges,
+        radial._scan_nodes(radial.grid_for_density(model).r_max))
 
 
 def test_ks_kinetic_matches_an_independent_taut_oracle(hooke_solution):

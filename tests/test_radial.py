@@ -32,38 +32,36 @@ FOUR_PI = 4.0 * math.pi
 # Grids
 # ---------------------------------------------------------------------------
 
-def test_radial_grid_is_strictly_increasing():
-    grid = RadialGrid(1e-4, 30.0, 200)
-    assert grid.nodes[0] == pytest.approx(1e-4)
-    assert grid.r_max == pytest.approx(30.0)
-    assert np.all(np.diff(grid.nodes) > 0.0)
+def test_scan_nodes_are_strictly_increasing():
+    nodes = radial._scan_nodes(30.0)
+    assert nodes[0] == pytest.approx(3e-4)
+    assert nodes[-1] == 30.0
+    assert np.all(np.diff(nodes) > 0.0)
 
 
-def test_grid_rejects_bad_nodes():
-    for r_min, r_max in [(-1.0, 1.0), (1.0, 1.0), (2.0, 1.0),
-                         (0.0, math.nan)]:
-        with pytest.raises(ValueError, match="r_min < r_max"):
-            RadialGrid(r_min, r_max, 10)
-    with pytest.raises(ValueError, match="two nodes"):
-        RadialGrid(1e-4, 30.0, 1)
-    # A span of five ulps cannot hold 1,600 distinct nodes.
-    with pytest.raises(ValueError, match="strictly increasing"):
-        RadialGrid(1.0, 1.0 + 1e-15, 1600)
+@pytest.mark.parametrize("r_max", [0.0, -1.0, math.nan, math.inf,
+                                   -math.inf])
+def test_grid_refuses_a_cutoff_that_is_not_finite_and_positive(r_max):
+    # Refused where it is made: an integral on an infinite cutoff would
+    # fail only later, naming r=nan.
+    with pytest.raises(ValueError,
+                       match=rf"finite and positive, got {r_max!r}$"):
+        RadialGrid(r_max)
 
 
 def test_radial_grid_keeps_its_recipe_not_its_nodes():
-    # The nodes are rebuilt on each read: a grid held per table row
-    # costs three numbers.
-    grid = RadialGrid(1e-4, 30.0, 1600)
+    # The grid is its cutoff alone; the pole scan lays its own nodes.
+    grid = RadialGrid(30.0)
+    assert vars(grid) == {"r_max": 30.0}
+    r_min = 1e-5 * 30.0
     t = np.linspace(0.0, 1.0, 1600)
-    np.testing.assert_array_equal(grid.nodes, 1e-4 + (30.0 - 1e-4) * t ** 2.5)
-    assert grid.r_max == grid.nodes[-1]
-    assert all(np.asarray(v).size < 10 for v in vars(grid).values())
+    np.testing.assert_array_equal(radial._scan_nodes(grid.r_max),
+                                  r_min + (30.0 - r_min) * t ** 2.5)
     # The cutoff is the last node even where r_min + (r_max - r_min)
     # rounds off r_max.
     r_max = 12.514307
     assert r_max * 1e-5 + (r_max - r_max * 1e-5) != r_max
-    assert RadialGrid(r_max * 1e-5, r_max, 1600).nodes[-1] == r_max
+    assert radial._scan_nodes(r_max)[-1] == r_max
 
 
 def _tail_weight(model, r):
@@ -114,13 +112,13 @@ def test_tail_rule_refuses_a_density_that_does_not_decay():
 
 def test_unit_gaussian_integrates_to_one():
     norm = math.pi ** -1.5
-    grid = RadialGrid(1e-6, 12.0, 400)
+    grid = RadialGrid(12.0)
     value = integrate_radial(lambda r: norm * np.exp(-r * r), grid)
     assert value == pytest.approx(1.0, rel=1e-10)
 
 
 def test_unit_ball_volume():
-    grid = RadialGrid(1e-6, 1.0, 100)
+    grid = RadialGrid(1.0)
     value = integrate_radial(lambda r: 1.0, grid)
     assert value == pytest.approx(4.0 * math.pi / 3.0, rel=1e-10)
 
@@ -128,7 +126,7 @@ def test_unit_ball_volume():
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 4.0])
 @pytest.mark.parametrize("n", range(7))
 def test_quadrature_exact_on_polynomial_exponentials(n, alpha):
-    grid = RadialGrid(1e-6, 60.0 / alpha, 300)
+    grid = RadialGrid(60.0 / alpha)
     value = integrate_radial(lambda r: r ** n * np.exp(-alpha * r), grid)
     exact = FOUR_PI * math.factorial(n + 2) / alpha ** (n + 3)
     assert value == pytest.approx(exact, rel=1e-10)
@@ -137,7 +135,7 @@ def test_quadrature_exact_on_polynomial_exponentials(n, alpha):
 @settings(max_examples=20)
 @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
 def test_integrate_radial_is_linear(a, b):
-    grid = RadialGrid(1e-6, 14.0, 120)
+    grid = RadialGrid(14.0)
     f = lambda r: np.exp(-r * r)
     g = lambda r: np.exp(-2.0 * r)
     combined = integrate_radial(lambda r: a * f(r) + b * g(r), grid)
@@ -220,7 +218,7 @@ def _helium_count():
 
 @pytest.mark.parametrize("integral", [
     lambda: integrate_radial(lambda r: np.exp(-r * r),
-                             RadialGrid(1e-6, 12.0, 400)),
+                             RadialGrid(12.0)),
     _helium_count,
     lambda: principal_value_integrate(
         lambda r: np.exp(-r) / (r - 1.0) / (FOUR_PI * r * r), [1.0],
@@ -233,7 +231,7 @@ def test_quad_agrees_with_quadpack(integral, monkeypatch):
 
 
 def test_interior_singularity_raises_with_best_estimate():
-    grid = RadialGrid(1e-6, 1.0, 100)
+    grid = RadialGrid(1.0)
     with pytest.raises(QuadratureError) as caught:
         integrate_radial(
             lambda r: np.abs(r - 1.0 / 3.0) ** -0.9 / (FOUR_PI * r * r),
@@ -342,23 +340,23 @@ def test_stacked_quad_names_the_row_and_smallest_bad_radius():
 # ---------------------------------------------------------------------------
 
 def test_find_poles_single_root():
-    grid = RadialGrid(1e-4, 2.0, 400)
+    grid = RadialGrid(2.0)
     assert find_poles(lambda r: r - 1.0, grid) == pytest.approx([1.0])
 
 
 def test_find_poles_no_real_root():
-    grid = RadialGrid(1e-4, 2.0, 400)
+    grid = RadialGrid(2.0)
     assert find_poles(lambda r: r * r + 1.0, grid) == []
 
 
 def test_find_poles_two_roots():
-    grid = RadialGrid(1e-4, 2.0, 400)
+    grid = RadialGrid(2.0)
     roots = find_poles(lambda r: (r - 0.5) * (r - 1.5), grid)
     assert roots == pytest.approx([0.5, 1.5])
 
 
 def test_find_poles_rejects_non_finite_denominator():
-    grid = RadialGrid(1e-4, 2.0, 50)
+    grid = RadialGrid(2.0)
     with pytest.raises(ValueError):
         find_poles(lambda r: np.where(r > 1.0, math.inf, 1.0), grid)
 
@@ -375,7 +373,7 @@ def _recording(denominator):
 
 
 def test_find_poles_steps_every_bracket_in_one_call_per_step():
-    grid = RadialGrid(1e-4, 2.0, 400)
+    grid = RadialGrid(2.0)
     denominator, calls = _recording(lambda r: np.cos(8.0 * np.pi * r))
     poles = find_poles(denominator, grid)
     roots = (2.0 * np.arange(16) + 1.0) / 16.0
@@ -384,31 +382,33 @@ def test_find_poles_steps_every_bracket_in_one_call_per_step():
                                atol=1e-12 * grid.r_max)
     assert calls[1].size == 16
     # The scan and at most nine Illinois steps; bisecting the widest
-    # bracket down to 1e-12 * r_max takes 34.
+    # bracket down to 1e-12 * r_max takes 31.
     assert len(calls) <= 10
 
 
 def test_find_poles_bisects_a_bracket_that_stops_halving():
-    # exp(6e4 (r - 1)) - 1 spans e^300 across its bracket: each Illinois
+    # exp(1e6 (r - 1)) - 1 spans e^300 across its bracket: each Illinois
     # halving moves the far end too little, so the bisection steps do
-    # the narrowing.  Without them this takes more than 200 steps.
-    grid = RadialGrid(1e-4, 2.0, 400)
+    # the narrowing.  Without them this takes more than 500 steps.
+    grid = RadialGrid(2.0)
     denominator, calls = _recording(
-        lambda r: np.expm1(np.minimum(6e4 * (r - 1.0), 300.0)))
+        lambda r: np.expm1(np.minimum(1e6 * (r - 1.0), 300.0)))
     assert find_poles(denominator, grid) == pytest.approx(
         [1.0], rel=0.0, abs=1e-12 * grid.r_max)
-    # The bracket is under 2^36 stopping widths wide and halves at least
+    # The bracket is under 2^30 stopping widths wide and halves at least
     # every four steps.
-    assert len(calls) <= 1 + 4 * 36
+    assert len(calls) <= 1 + 4 * 30
 
 
 def test_find_poles_closes_an_exact_zero_while_others_bisect():
-    # The first two nodes are 0.5 and 0.5 + 32 * 0.25**2.5 = 1.5, both
-    # exact.  Linear below r = 1.84, so the first falsi point of
-    # [0.5, 1.5] is the root at 1.0 itself; the root at 2.3, bracketed
-    # by [1.5, 6.16], is not reached in one step.
-    grid = RadialGrid(0.5, 32.5, 5)
-    assert grid.nodes[:2].tolist() == [0.5, 1.5]
+    # Linear below r = 1.84.  The scan nodes a < 1 < b either side of
+    # the root at 1.0 lie within a factor of two of it, so a - 1, b - 1
+    # and b - a are exact, and the first falsi point of [a, b] is the
+    # root itself; the root at 2.3 is not reached in one step.
+    grid = RadialGrid(4.0)
+    nodes = radial._scan_nodes(grid.r_max)
+    a, b = nodes[np.searchsorted(nodes, 1.0) - 1:][:2]
+    assert 0.5 < a < 1.0 < b < 2.0
     denominator, calls = _recording(
         lambda r: np.minimum(r - 1.0, (2.3 - r) * r))
     poles = find_poles(denominator, grid)
@@ -424,7 +424,7 @@ def test_find_poles_closes_an_exact_zero_while_others_bisect():
 def test_find_poles_secant_finish_reaches_the_float_limit():
     # The steps stop at a 1e-12 * r_max bracket; the secant step through
     # its end values lands on the root itself.
-    grid = RadialGrid(1e-4, 2.0, 400)
+    grid = RadialGrid(2.0)
     poles = find_poles(lambda r: np.cos(8.0 * np.pi * r), grid)
     roots = (2.0 * np.arange(16) + 1.0) / 16.0
     np.testing.assert_allclose(poles, roots, rtol=1e-14, atol=0.0)
@@ -435,7 +435,7 @@ def test_find_poles_secant_finish_reaches_the_float_limit():
 def test_find_poles_finds_every_simple_root(roots):
     roots = np.sort(roots)
     assume(np.all(np.diff(roots) >= 0.05))
-    grid = RadialGrid(1e-4, 2.0, 400)
+    grid = RadialGrid(2.0)
     poles = find_poles(
         lambda r: np.prod(np.subtract.outer(r, roots), axis=-1), grid)
     assert len(poles) == roots.size
@@ -447,7 +447,7 @@ def test_find_poles_finds_every_simple_root(roots):
                 min_size=2, max_size=4),
        st.floats(-3.0, 3.0))
 def test_stacked_find_poles_matches_each_row_alone(rows, tilt):
-    grid = RadialGrid(1e-4, 2.0, 400)
+    grid = RadialGrid(2.0)
     roots = [np.array(row) for row in rows]
 
     def row_denominator(i):
@@ -476,7 +476,7 @@ def test_stacked_find_poles_matches_each_row_alone(rows, tilt):
 # ---------------------------------------------------------------------------
 
 def _pv_grid():
-    return RadialGrid(1e-6, 2.0, 1200)
+    return RadialGrid(2.0)
 
 
 def _inverse_weight(numer):
@@ -548,9 +548,10 @@ def test_pole_pair_at_the_separation_floor_is_found_or_refused(centre):
     # Either way the integral is right or fails loudly, never quietly
     # wrong.
     grid = _pv_grid()
-    k = 700
-    middle = {"node": grid.nodes[k],
-              "midpoint": 0.5 * (grid.nodes[k] + grid.nodes[k + 1])}[centre]
+    nodes = radial._scan_nodes(grid.r_max)
+    k = 934
+    middle = {"node": nodes[k],
+              "midpoint": 0.5 * (nodes[k] + nodes[k + 1])}[centre]
     half_gap = 1.001 * radial.PV_SEPARATION_FLOOR * grid.r_max
     pair = [middle - half_gap, middle + half_gap]
 
@@ -574,11 +575,12 @@ def test_pole_pair_at_the_separation_floor_is_found_or_refused(centre):
 
 
 def _close_pair(node, half_gap):
-    """A pole pair ``half_gap`` separation floors either side of a node
-    of ``_pv_grid``, and the integrand e^-r / ((r - a)(r - b))."""
+    """A pole pair ``half_gap`` separation floors either side of a scan
+    node of ``_pv_grid``, and the integrand e^-r / ((r - a)(r - b))."""
     grid = _pv_grid()
     offset = half_gap * radial.PV_SEPARATION_FLOOR * grid.r_max
-    pair = [grid.nodes[node] - offset, grid.nodes[node] + offset]
+    centre = radial._scan_nodes(grid.r_max)[node]
+    pair = [centre - offset, centre + offset]
     return grid, pair, _inverse_weight(
         lambda r: np.exp(-r) / ((r - pair[0]) * (r - pair[1])))
 
@@ -586,7 +588,7 @@ def _close_pair(node, half_gap):
 def test_close_pole_pair_whose_windows_cancel_is_refused():
     # At 10 floors, around r = 1.27, the windows sum to 1.16e6 |T| in
     # magnitude; their rounding left T 1.1e-6 off without an error.
-    grid, pair, f = _close_pair(1000, 10)
+    grid, pair, f = _close_pair(1334, 10)
     with pytest.raises(PrincipalValueError, match="cancel"):
         principal_value_integrate(f, pair, grid)
 
@@ -594,7 +596,7 @@ def test_close_pole_pair_whose_windows_cancel_is_refused():
 def test_close_pole_pair_below_the_cancellation_limit_is_integrated(
         monkeypatch):
     # At 1,000 floors, around r = 0.063, the windows sum to 287 |T|.
-    grid, pair, f = _close_pair(300, 1000)
+    grid, pair, f = _close_pair(400, 1000)
     magnitudes = []
     window_integrals = radial._window_integrals
 
@@ -757,7 +759,7 @@ def test_tabulated_model_integrates_like_its_source():
     r = np.linspace(1e-3, 15.0, 500)
     tab = tabulated_derivatives(r, np.array([model.rho(float(x))
                                              for x in r]))
-    grid = RadialGrid(1e-3, 15.0, 600)
+    grid = RadialGrid(15.0)
     count = integrate_radial(tab.rho, grid)
     assert count == pytest.approx(model.electron_count, rel=1e-6)
 
@@ -775,13 +777,13 @@ def _sampled_neon():
 def test_tabulated_profile_is_bit_invariant_to_batching():
     # The spline takes whole arrays.  The interior knots of an
     # interpolating quintic are the samples r[3:-3]; radii one ulp
-    # either side of some of them join the grid's nodes.
+    # either side of some of them join the pole scan's nodes.
     r, rho = _sampled_neon()
     model = tabulated_derivatives(r, rho)
     knots = r[3:-3:8]
     sides = np.concatenate((np.nextafter(knots, 0.0),
                             np.nextafter(knots, np.inf)))
-    nodes = grid_for_density(model).positive_nodes
+    nodes = radial._scan_nodes(grid_for_density(model).r_max)
     radii = np.sort(np.concatenate((sides, nodes[sides.size:])))
     assert radii.size == 1600
     batch = model.eval(radii)
@@ -791,7 +793,7 @@ def test_tabulated_profile_is_bit_invariant_to_batching():
 
 def _eval_peak_bytes(model) -> int:
     """Peak traced memory of one ``model.eval`` on the model's grid."""
-    nodes = grid_for_density(model).positive_nodes
+    nodes = radial._scan_nodes(grid_for_density(model).r_max)
     tracemalloc.start()
     try:
         model.eval(nodes)

@@ -151,7 +151,7 @@ def test_integrate_pade21_on_hooke_half(analytic_half):
 def test_uniform_box_density_degenerates_all_methods():
     r = np.linspace(0.0, 2.0, 300)
     model = radial.tabulated_derivatives(r, np.full_like(r, 0.7))
-    grid = radial.RadialGrid(1e-4, 2.0, 800)
+    grid = radial.RadialGrid(2.0)
     t0 = resum.integrate_method(model, ResumMethod.T0, grid).T
     expected = kedf.C_TF * 0.7 ** (5.0 / 3.0) * (4.0 / 3.0) * math.pi * 8.0
     assert t0 == pytest.approx(expected, rel=1e-10)
@@ -209,11 +209,12 @@ def test_run_methods_builds_the_tau_table_only_for_pade(atom_bundle):
     assert reports[0].T == pytest.approx(argon.reports[ResumMethod.T0].T,
                                          rel=1e-14, abs=0.0)
     # The quadrature's own radii (357 on Ar) and no 1,600-node table.
-    assert sum(radii) == evaluated < argon.grid.nodes.size
+    scan = radial._scan_nodes(argon.grid.r_max).size
+    assert sum(radii) == evaluated < scan
     radii.clear()
     resum.run_methods(model, [ResumMethod.T0, ResumMethod.PADE11],
                       argon.grid, argon.t_ref)
-    assert sum(radii) > evaluated + argon.grid.nodes.size
+    assert sum(radii) > evaluated + scan
 
 
 def test_run_methods_evaluates_the_density_once_a_round_for_all_methods(

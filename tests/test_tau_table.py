@@ -1,8 +1,8 @@
 """The batched tau table against one radius at a time.
 
 The Pade pole scan reads ``kedf.tau_point(model.eval(nodes), nodes)`` on
-every positive grid node in one batch; the same functions also take a
-single radius, as a float.  Both go through the same code, so they must
+all of its nodes, ``radial._scan_nodes(grid.r_max)``, in one batch; the
+same functions also take a single radius, as a float.  Both go through the same code, so they must
 agree node by node.
 """
 
@@ -19,7 +19,7 @@ def _scalar_table(model, nodes):
 
 
 def _assert_table_matches_scalar(model, grid):
-    nodes = grid.positive_nodes
+    nodes = radial._scan_nodes(grid.r_max)
     batched = kedf.tau_point(model.eval(nodes), nodes)
     assert batched.shape == (4, nodes.size)
     np.testing.assert_allclose(batched, _scalar_table(model, nodes),
