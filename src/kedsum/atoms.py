@@ -2,11 +2,12 @@
 
 A basis file holds, per shell, the principal quantum numbers and
 exponents of normalized Slater primitives plus the expansion
-coefficients of the occupied radial orbital.  From those the module
-delivers the spherically averaged density with four analytic
-derivatives (term-wise differentiation of the primitives, no numerics)
-and the Hartree-Fock kinetic energy both in closed form and by
-quadrature; the two routes cross-check each other in the test suite.
+coefficients of the occupied radial orbital.  One table of the
+distinct primitives serves everything: the spherically averaged density
+with four analytic derivatives (term-wise differentiation of the
+primitives, no numerics), and the closed-form overlaps and Hartree-Fock
+kinetic energy.  The energy is also available by quadrature; the two
+routes cross-check each other in the test suite.
 
 Every load is validated: schema shape, orbital normalization,
 orthogonality within an l-block, and the electron-count sum rule.
@@ -48,6 +49,11 @@ class ElectronCountError(BasisError):
     """Shell occupations do not add up to the declared electron count."""
 
 
+def _is_number(x, kind=(int, float)) -> bool:
+    """x is of kind and not a bool, which JSON true and false load as."""
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class STOPrimitive:
     """Normalized Slater radial primitive N r^(n-1) e^(-zeta r)."""
@@ -56,7 +62,7 @@ class STOPrimitive:
     zeta: float
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 1):
+        if not (_is_number(self.n, int) and self.n >= 1):
             raise BasisSchemaError(f"primitive n must be int >= 1, "
                                    f"got {self.n!r}")
         if not (self.zeta > 0.0 and math.isfinite(self.zeta)):
@@ -69,35 +75,6 @@ class STOPrimitive:
                 / math.sqrt(math.factorial(2 * self.n)))
 
 
-def _moment(m: int, a: float) -> float:
-    """int_0^inf r^m e^(-a r) dr for integer m >= 0."""
-    return math.factorial(m) / a ** (m + 1)
-
-
-def primitive_overlap(p: STOPrimitive, q: STOPrimitive) -> float:
-    """<p|q> over r^2 dr for normalized primitives (same l assumed)."""
-    return p.norm * q.norm * _moment(p.n + q.n, p.zeta + q.zeta)
-
-
-def _primitive_kinetic(p: STOPrimitive, q: STOPrimitive, l: int) -> float:
-    """<p| -1/2 (d2/dr2 + (2/r) d/dr - l(l+1)/r^2) |q>, symmetrized.
-
-    Applying the radial Laplacian to the ket N r^(n-1) e^(-zeta r)
-    leaves three powers whose moments are elementary; averaging p,q
-    restores the symmetry the analytic form hides.
-    """
-
-    def one_sided(a: STOPrimitive, b: STOPrimitive) -> float:
-        s = a.zeta + b.zeta
-        m = a.n + b.n
-        val = (b.n * (b.n - 1) - l * (l + 1)) * _moment(m - 2, s)
-        val -= 2.0 * b.zeta * b.n * _moment(m - 1, s)
-        val += b.zeta * b.zeta * _moment(m, s)
-        return -0.5 * a.norm * b.norm * val
-
-    return 0.5 * (one_sided(p, q) + one_sided(q, p))
-
-
 @dataclass(frozen=True)
 class RHFOrbital:
     """One occupied radial orbital R(r) = sum_k c_k N_k r^(n_k-1) e^(-z_k r)."""
@@ -108,7 +85,7 @@ class RHFOrbital:
     coeffs: tuple[float, ...]
 
     def __post_init__(self):
-        if not (isinstance(self.l, int) and self.l >= 0):
+        if not (_is_number(self.l, int) and self.l >= 0):
             raise BasisSchemaError(f"orbital l must be int >= 0, got {self.l!r}")
         if not (0.0 < self.occ <= 2.0 * (2 * self.l + 1)):
             raise BasisSchemaError(
@@ -125,26 +102,6 @@ class RHFOrbital:
                 raise BasisSchemaError(
                     f"primitive n={p.n} below l+1={self.l + 1}")
 
-    def _pair_sum(self, other: "RHFOrbital", term) -> float:
-        """sum_ab c_a c'_b term(a, b) over this orbital's and other's
-        primitives."""
-        total = 0.0
-        for a, ca in zip(self.primitives, self.coeffs):
-            for b, cb in zip(other.primitives, other.coeffs):
-                total += ca * cb * term(a, b)
-        return total
-
-    def norm_squared(self) -> float:
-        return self.overlap(self)
-
-    def overlap(self, other: "RHFOrbital") -> float:
-        return self._pair_sum(other, primitive_overlap)
-
-    def kinetic(self) -> float:
-        """<R| -1/2 lap_l |R> for a single electron in this orbital."""
-        return self._pair_sum(
-            self, lambda a, b: _primitive_kinetic(a, b, self.l))
-
 
 @dataclass(frozen=True)
 class STOBasisSet:
@@ -158,12 +115,14 @@ class STOBasisSet:
 
     @cached_property
     def _primitive_table(self):
-        """Exponents, Horner table and weights of the distinct primitives.
+        """Exponents, n, Horner table and weights of the distinct primitives.
 
         Entries that repeat an (n, zeta) share one column, weighted per
-        orbital by the sum of their c N.  With m = n - 1, the k-th derivative
-        of r^m e^(-zeta r) is e^(-zeta r) sum_(i <= min(k, m)) C(k, i) (m)_i
-        (-zeta)^(k-i) r^(m-i); horner[k, j] is that sum's r^j coefficient.
+        orbital by the sum of their c N, so an orbital is its weights row
+        over the unnormalized r^(n-1) e^(-zeta r).  With m = n - 1, the k-th
+        derivative of r^m e^(-zeta r) is e^(-zeta r) sum_(i <= min(k, m))
+        C(k, i) (m)_i (-zeta)^(k-i) r^(m-i); horner[k, j] is that sum's r^j
+        coefficient.  The density kernel and ``integrals`` both read it.
         """
         distinct = list(dict.fromkeys(p for orb in self.orbitals
                                       for p in orb.primitives))
@@ -179,7 +138,38 @@ class STOBasisSet:
                     horner[k, p.n - 1 - i, col] = (
                         math.comb(k, i) * math.perm(p.n - 1, i)
                         * (-p.zeta) ** (k - i))
-        return np.array([p.zeta for p in distinct]), horner, weights
+        return (np.array([p.zeta for p in distinct]),
+                np.array([p.n for p in distinct]), horner, weights)
+
+    @cached_property
+    def integrals(self) -> tuple[np.ndarray, np.ndarray]:
+        """The orbitals' overlap matrix and each one's kinetic energy.
+
+        Over a pair of distinct primitives every integral is a moment
+        int_0^inf r^m e^(-s r) dr = m!/s^(m+1), with m = n_j + n_k less
+        0, 1 or 2 and s = zeta_j + zeta_k.  Applying the radial Laplacian
+        d2/dr2 + (2/r) d/dr to the ket leaves three such powers; the pair
+        matrix is averaged with its transpose, and the l(l+1)/r^2 term is
+        added per orbital.  Entries between orbitals of different l are
+        not overlaps of the full orbitals; only same-l ones mean anything.
+        The kinetic energy is <R| -1/2 lap_l |R> for one electron.
+        """
+        zetas, ns, _, weights = self._primitive_table
+        s = zetas[:, None] + zetas
+        m = ns[:, None] + ns
+        factorial = np.cumprod(np.r_[1.0, np.arange(1.0, m.max() + 1)])
+        # int_0^inf r^(m-k) e^(-s r) dr over every pair, for k = 0, 1, 2.
+        m0, m1, m2 = (factorial[m - k] / s ** (m - k + 1) for k in range(3))
+
+        def orbital_sums(pairs):
+            return np.einsum("oj,jk,ok->o", weights, pairs, weights)
+
+        laplacian = (ns * (ns - 1) * m2 - 2.0 * zetas * ns * m1
+                     + zetas * zetas * m0)
+        l = np.array([orb.l for orb in self.orbitals], dtype=float)
+        kinetic = (orbital_sums(-0.25 * (laplacian + laplacian.T))
+                   + 0.5 * l * (l + 1.0) * orbital_sums(m2))
+        return np.einsum("oj,jk,pk->op", weights, m0, weights), kinetic
 
     def radial_jets(self, r) -> np.ndarray:
         """Jets of every orbital's R at r, shape (5,) + r.shape + (n_orb,).
@@ -189,7 +179,7 @@ class STOBasisSet:
         Each sum runs along a last axis of fixed length, so a radius gets
         the same bits alone as in a batch.
         """
-        zetas, horner, weights = self._primitive_table
+        zetas, _, horner, weights = self._primitive_table
         r = np.asarray(r, dtype=float)[..., None]
         horner = np.expand_dims(horner, tuple(range(2, r.ndim + 1)))
         poly = horner[:, -1]
@@ -214,10 +204,11 @@ def _require(condition: bool, message: str):
 def parse_sto(file) -> STOBasisSet:
     """Load and validate a JSON STO basis file.
 
-    Raises BasisSchemaError for malformed files (with the offending
-    field named), OrbitalNormalizationError when coefficients fail the
-    norm or in-block orthogonality checks, and ElectronCountError when
-    occupations do not sum to the declared electron count.
+    Raises BasisSchemaError for malformed files, naming the offending
+    field or primitive (JSON true and false are not numbers);
+    OrbitalNormalizationError when coefficients fail the norm or in-block
+    orthogonality checks, read off ``integrals``; and ElectronCountError
+    when occupations do not sum to the declared electron count.
     """
 
     path = Path(file)
@@ -235,8 +226,8 @@ def parse_sto(file) -> STOBasisSet:
     _require(isinstance(element, str) and element,
              f"{path}: 'element' must be a nonempty string")
     count = raw["electron_count"]
-    _require(isinstance(count, (int, float)) and count > 0,
-             f"{path}: 'electron_count' must be positive")
+    _require(_is_number(count) and count > 0,
+             f"{path}: 'electron_count' must be a positive number")
     shells = raw["shells"]
     _require(isinstance(shells, list) and shells,
              f"{path}: 'shells' must be a nonempty list")
@@ -247,65 +238,51 @@ def parse_sto(file) -> STOBasisSet:
         _require(isinstance(shell, dict), f"{where}: must be an object")
         for key in ("l", "occ", "primitives", "coeffs"):
             _require(key in shell, f"{where}: missing key '{key}'")
-        prims_raw = shell["primitives"]
-        coeffs_raw = shell["coeffs"]
-        _require(isinstance(prims_raw, list) and prims_raw,
-                 f"{where}.primitives: must be a nonempty list")
-        _require(isinstance(coeffs_raw, list),
+        _require(isinstance(shell["primitives"], list),
+                 f"{where}.primitives: must be a list")
+        _require(isinstance(shell["coeffs"], list),
                  f"{where}.coeffs: must be a list")
-        _require(len(coeffs_raw) == len(prims_raw),
-                 f"{where}: {len(coeffs_raw)} coeffs for "
-                 f"{len(prims_raw)} primitives")
-        prims = []
-        for p_idx, p in enumerate(prims_raw):
-            pwhere = f"{where}.primitives[{p_idx}]"
-            _require(isinstance(p, dict) and "n" in p and "zeta" in p,
-                     f"{pwhere}: needs keys 'n' and 'zeta'")
-            _require(isinstance(p["n"], int),
-                     f"{pwhere}.n: must be an integer")
-            _require(isinstance(p["zeta"], (int, float)),
-                     f"{pwhere}.zeta: must be a number")
-            prims.append(STOPrimitive(n=p["n"], zeta=float(p["zeta"])))
-        for c_idx, c in enumerate(coeffs_raw):
-            _require(isinstance(c, (int, float)),
+        for c_idx, c in enumerate(shell["coeffs"]):
+            _require(_is_number(c),
                      f"{where}.coeffs[{c_idx}]: must be a number")
-        _require(isinstance(shell["l"], int),
-                 f"{where}.l: must be an integer")
-        _require(isinstance(shell["occ"], (int, float)),
-                 f"{where}.occ: must be a number")
+        _require(_is_number(shell["occ"]), f"{where}.occ: must be a number")
+        # A refusal names the primitive, or else the shell, being built.
         try:
-            orbital = RHFOrbital(l=shell["l"], occ=float(shell["occ"]),
-                                 primitives=tuple(prims),
-                                 coeffs=tuple(float(c) for c in coeffs_raw))
+            prims = []
+            for p_idx, p in enumerate(shell["primitives"]):
+                at = f"{where}.primitives[{p_idx}]"
+                _require(isinstance(p, dict) and "n" in p and "zeta" in p,
+                         "needs keys 'n' and 'zeta'")
+                _require(_is_number(p["zeta"]), "zeta must be a number")
+                prims.append(STOPrimitive(n=p["n"], zeta=float(p["zeta"])))
+            at = where
+            orbitals.append(RHFOrbital(
+                l=shell["l"], occ=float(shell["occ"]), primitives=tuple(prims),
+                coeffs=tuple(float(c) for c in shell["coeffs"])))
         except BasisSchemaError as exc:
-            raise BasisSchemaError(f"{where}: {exc}")
-        orbitals.append(orbital)
+            raise BasisSchemaError(f"{at}: {exc}")
 
-    for s_idx, orbital in enumerate(orbitals):
-        norm = orbital.norm_squared()
-        if abs(norm - 1.0) > _NORM_TOLERANCE:
+    basis = STOBasisSet(element=element, electron_count=float(count),
+                        orbitals=tuple(orbitals))
+    overlap = basis.integrals[0]
+    for i in range(len(orbitals)):
+        if abs(overlap[i, i] - 1.0) > _NORM_TOLERANCE:
             raise OrbitalNormalizationError(
-                f"{path}: shells[{s_idx}] norm^2 = {norm:.8f}, "
+                f"{path}: shells[{i}] norm^2 = {overlap[i, i]:.8f}, "
                 f"expected 1 within {_NORM_TOLERANCE:g}")
-    for i, a in enumerate(orbitals):
-        for j in range(i + 1, len(orbitals)):
-            b = orbitals[j]
-            if a.l != b.l:
-                continue
-            s = a.overlap(b)
-            if abs(s) > _ORTHO_TOLERANCE:
-                raise OrbitalNormalizationError(
-                    f"{path}: shells[{i}] and shells[{j}] (l={a.l}) "
-                    f"overlap {s:.2e} exceeds {_ORTHO_TOLERANCE:g}")
+    for i, j in zip(*np.triu_indices(len(orbitals), 1)):
+        l = orbitals[i].l
+        if l == orbitals[j].l and abs(overlap[i, j]) > _ORTHO_TOLERANCE:
+            raise OrbitalNormalizationError(
+                f"{path}: shells[{i}] and shells[{j}] (l={l}) "
+                f"overlap {overlap[i, j]:.2e} exceeds {_ORTHO_TOLERANCE:g}")
 
     total_occ = sum(o.occ for o in orbitals)
     if abs(total_occ - float(count)) > 1e-9:
         raise ElectronCountError(
             f"{path}: electron count mismatch: occupations sum to "
             f"{total_occ:g} but electron_count is {count:g}")
-
-    return STOBasisSet(element=element, electron_count=float(count),
-                       orbitals=tuple(orbitals))
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +317,7 @@ def density_model(basis: STOBasisSet) -> DensityModel:
 
 def hf_kinetic(basis: STOBasisSet) -> float:
     """Hartree-Fock kinetic energy via closed-form STO integrals."""
-    return sum(orb.occ * orb.kinetic() for orb in basis.orbitals)
+    return float(basis.occupations @ basis.integrals[1])
 
 
 def hf_kinetic_quadrature(basis: STOBasisSet,

@@ -149,11 +149,13 @@ def _solve_relative(omega: float, lam: float, s_max: float):
     coeffs = _TO_COEFFS @ u
     tail = float(np.max(np.abs(coeffs[-2:])) / np.max(np.abs(coeffs)))
     if tail > _TAIL:
+        bound = 20.0 / math.sqrt(omega)
+        hint = (f"keep s_max below about {bound:.3g}" if s_max >= bound
+                else "it needs a shorter box")
         raise SolverError(
             f"u is under-resolved on [0, {s_max:g}] at degree {_DEGREE}: "
             f"its last Chebyshev coefficients are {tail:.2g} of the "
-            f"largest; keep s_max below about {20.0 / math.sqrt(omega):.3g} "
-            f"at omega={omega:g}")
+            f"largest; {hint} at omega={omega:g}")
     lo = 1.45 * omega
     hi = 1.5 * omega + 4.0 * math.sqrt(omega) + 4.0
     if not lo <= eps <= hi:
@@ -345,11 +347,11 @@ def solve_general(params: HookeParams, s_max: float | None = None,
 
     The relative equation is solved by Chebyshev collocation of degree
     60 on [0, s_max], 12/sqrt(omega) by default.  The solve is rejected
-    when u is under-resolved (s_max beyond about 20/sqrt(omega)), when
-    the lowest eigenvalue leaves [1.45 omega, 1.5 omega + 4 sqrt(omega)
-    + 4], when the box is too short to hold u (s_max below about
-    9/sqrt(omega)), when u has a node, or when the reconstructed
-    density misses the N = 2 sum rule by more than 1e-6.
+    when u is under-resolved (s_max beyond about 20/sqrt(omega), less
+    below omega = 3e-3), when the lowest eigenvalue leaves [1.45 omega,
+    1.5 omega + 4 sqrt(omega) + 4], when the box is too short to hold u
+    (s_max below about 9/sqrt(omega)), when u has a node, or when the
+    reconstructed density misses the N = 2 sum rule by more than 1e-6.
     """
 
     omega = params.omega

@@ -403,6 +403,14 @@ def _scan_nodes(r_max: float) -> np.ndarray:
     return nodes
 
 
+def _require_finite_denominator(r: np.ndarray, values: np.ndarray):
+    """Refuse values at r, naming the least radius of one not finite."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = np.broadcast_to(r, values.shape)[~finite].min()
+        raise ValueError(f"denominator is not finite at r={bad:.12g}")
+
+
 def find_poles(denominator: Callable, grid: RadialGrid):
     """Locate sign changes of ``denominator`` on [1e-5 r_max, r_max].
 
@@ -429,7 +437,8 @@ def find_poles(denominator: Callable, grid: RadialGrid):
     the principal value.  Brackets step independently, so a row's poles
     are the same bits whether it is scanned alone or in a stack.  Only
     odd-order (sign-changing) roots are seen, which is what the
-    principal-value machinery can handle anyway.
+    principal-value machinery can handle anyway.  A value that is not
+    finite raises ``ValueError`` naming its radius.
 
     Returns the sorted poles, or one sorted list per row for a stack.
     """
@@ -439,10 +448,7 @@ def find_poles(denominator: Callable, grid: RadialGrid):
     stacked = values.ndim == 2
     values = np.broadcast_to(values, values.shape[:-1] + nodes.shape)
     values = values.reshape(-1, nodes.size)
-    finite = np.all(np.isfinite(values), axis=0)
-    if not np.all(finite):
-        bad = nodes[~finite][0]
-        raise ValueError(f"denominator is not finite at r={bad:.12g}")
+    _require_finite_denominator(nodes, values)
 
     left, right = values[:, :-1], values[:, 1:]
     row, brackets = np.nonzero((left == 0.0) | (left * right < 0.0))
@@ -471,6 +477,7 @@ def find_poles(denominator: Callable, grid: RadialGrid):
         widths[:, open_] = np.vstack((widths[1:, open_], width))
         fx = np.reshape(denominator(x), (-1, x.size))[row[open_],
                                                        np.arange(x.size)]
+        _require_finite_denominator(x, fx)
         left_half = fa[open_] * fx < 0.0
         # An exact zero closes its bracket: both ends move to x.
         to_b = left_half | (fx == 0.0)

@@ -3,6 +3,7 @@
 import json
 import math
 from dataclasses import replace
+from importlib import resources
 
 import mpmath as mp
 import numpy as np
@@ -120,14 +121,36 @@ def test_nonorthogonal_same_l_shells_raise(tmp_path):
         atoms.parse_sto(path)
 
 
+def _first_primitive(p):
+    return p["shells"][0]["primitives"][0]
+
+
 @pytest.mark.parametrize("mutate, fragment", [
     (lambda p: p.pop("shells"), "missing key 'shells'"),
-    (lambda p: p["shells"][0]["primitives"][0].pop("zeta"),
-     r"primitives\[0\]"),
-    (lambda p: p["shells"][0]["coeffs"].append(0.1), "coeffs"),
-    (lambda p: p["shells"][0]["primitives"][0].update(n=1.5),
-     "must be an integer"),
+    (lambda p: _first_primitive(p).pop("zeta"), r"primitives\[0\]"),
+    (lambda p: p["shells"][0]["coeffs"].append(0.1),
+     r"shells\[0\]: 2 coefficients for 1 primitives$"),
+    (lambda p: _first_primitive(p).update(n=1.5),
+     r"shells\[0\]\.primitives\[0\]: primitive n must be int >= 1, got 1\.5$"),
     (lambda p: p.update(element=""), "element"),
+    # A bad primitive is named by its place.
+    (lambda p: _first_primitive(p).update(n=0),
+     r"shells\[0\]\.primitives\[0\]: primitive n must be int >= 1, got 0$"),
+    # JSON true and false load as Python bools, which are ints; none of
+    # them is a number here.
+    (lambda p: _first_primitive(p).update(n=True),
+     r"shells\[0\]\.primitives\[0\]: primitive n must be int >= 1, "
+     r"got True$"),
+    (lambda p: _first_primitive(p).update(zeta=True),
+     r"shells\[0\]\.primitives\[0\]: zeta must be a number$"),
+    (lambda p: p["shells"][0].update(l=False),
+     r"shells\[0\]: orbital l must be int >= 0, got False$"),
+    (lambda p: p["shells"][0].update(occ=True),
+     r"shells\[0\]\.occ: must be a number$"),
+    (lambda p: p.update(electron_count=True),
+     "'electron_count' must be a positive number$"),
+    (lambda p: p["shells"][0].update(coeffs=[True]),
+     r"shells\[0\]\.coeffs\[0\]: must be a number$"),
 ])
 def test_schema_errors_name_the_offending_field(tmp_path, mutate, fragment):
     payload = _single_zeta("H", 1, 1.0, 1)
@@ -185,6 +208,59 @@ def test_dual_kinetic_routes_agree(element, atom_bundle):
     closed_form = atoms.hf_kinetic(bundle.basis)
     quadrature = atoms.hf_kinetic_quadrature(bundle.basis, bundle.grid)
     assert quadrature == pytest.approx(closed_form, rel=1e-8)
+
+
+def _pairwise_integrals(element):
+    """Norms^2 and overlaps (as a matrix), each shell's l, and T_HF, in
+    30-digit mpmath pair by pair from the basis JSON.  T takes the
+    gradient form 1/2 int (R'^2 + l(l+1) R^2/r^2) r^2 dr, so it shares no
+    formula with the package's Laplacian."""
+    path = resources.files("kedsum").joinpath("data").joinpath(
+        f"{element}.json")
+    shells = json.loads(path.read_text(encoding="utf-8"))["shells"]
+    with mp.workdps(30):
+        def moment(m, s):
+            return mp.factorial(m) / s ** (m + 1)
+
+        def primitive(p, c):
+            """(n, zeta, c N) of one normalized primitive."""
+            n, zeta = p["n"], mp.mpf(repr(p["zeta"]))
+            return n, zeta, mp.mpf(repr(c)) * (2 * zeta) ** (
+                n + mp.mpf("0.5")) / mp.sqrt(mp.factorial(2 * n))
+
+        def kinetic(a, b, l):
+            """1/2 int (a' b' + l(l+1) a b / r^2) r^2 dr."""
+            (na, za, ca), (nb, zb, cb) = a, b
+            m, s = na + nb, za + zb
+            return ca * cb / 2 * (
+                ((na - 1) * (nb - 1) + l * (l + 1)) * moment(m - 2, s)
+                - ((na - 1) * zb + (nb - 1) * za) * moment(m - 1, s)
+                + za * zb * moment(m, s))
+
+        orbitals = [[primitive(p, c)
+                     for p, c in zip(shell["primitives"], shell["coeffs"])]
+                    for shell in shells]
+        overlap = [[float(mp.fsum(ca * cb * moment(na + nb, za + zb)
+                                  for na, za, ca in a for nb, zb, cb in b))
+                    for b in orbitals] for a in orbitals]
+        t_hf = mp.fsum(shell["occ"] * kinetic(a, b, shell["l"])
+                       for shell, prims in zip(shells, orbitals)
+                       for a in prims for b in prims)
+        return overlap, [shell["l"] for shell in shells], float(t_hf)
+
+
+@pytest.mark.parametrize("element", BUNDLED)
+def test_closed_form_integrals_match_a_pairwise_mpmath_sum(element):
+    # Ne and Ar hold p shells, so their T_HF reads the l(l+1) term.
+    basis = atoms.bundled_basis(element)
+    overlap, kinetic = basis.integrals
+    want, ls, t_hf = _pairwise_integrals(element)
+    for i, row in enumerate(want):
+        assert overlap[i, i] == pytest.approx(row[i], rel=1e-14, abs=0.0)
+        for j in range(i + 1, len(row)):
+            if ls[i] == ls[j]:
+                assert abs(overlap[i, j] - row[j]) <= 1e-14, (i, j)
+    assert atoms.hf_kinetic(basis) == pytest.approx(t_hf, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("element", BUNDLED)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -199,6 +200,26 @@ def test_under_resolved_state_names_itself():
     # tail: u's last Chebyshev coefficients stand at 6e-5 of the largest.
     with pytest.raises(hooke.SolverError, match="u is under-resolved"):
         hooke.solve_general(hooke.HookeParams(1.0), s_max=80.0)
+
+
+@pytest.mark.parametrize("omega, lengths, hint", [
+    (3e-4, 18.0, "largest; it needs a shorter box at omega=0.0003$"),
+    (1e-4, 16.0, "largest; it needs a shorter box at omega=0.0001$"),
+    (1.0, 25.0, "keep s_max below about 20 at omega=1$"),
+], ids=["3e-4", "1e-4", "1"])
+def test_under_resolved_hint_names_no_bound_the_box_meets(omega, lengths,
+                                                          hint):
+    # At omega = 3e-4 and 1e-4 the state is under-resolved in boxes
+    # shorter than 20/sqrt(omega), though 14/sqrt(omega) solves; no hint
+    # may ask for a box below a bound this one is already below.
+    s_max = lengths / math.sqrt(omega)
+    with pytest.raises(hooke.SolverError,
+                       match="u is under-resolved") as caught:
+        hooke.solve_general(hooke.HookeParams(omega), s_max=s_max)
+    message = str(caught.value)
+    assert re.search(hint, message)
+    assert all(float(bound) < s_max
+               for bound in re.findall(r"below about (\S+) at", message))
 
 
 def test_solver_error_when_eigenvalue_not_bracketed():

@@ -361,6 +361,27 @@ def test_find_poles_rejects_non_finite_denominator():
         find_poles(lambda r: np.where(r > 1.0, math.inf, 1.0), grid)
 
 
+def _nan_beside_one(r):
+    """r - 1, but NaN within 1e-6 of its root, between the scan nodes."""
+    return np.where(np.abs(r - 1.0) < 1e-6, np.nan, r - 1.0)
+
+
+@pytest.mark.parametrize("denominator", [
+    _nan_beside_one,
+    lambda r: np.stack((r - 2.5, _nan_beside_one(r))),
+], ids=["alone", "stacked"])
+def test_find_poles_refuses_a_step_that_reads_a_non_finite_value(
+        denominator):
+    # Every scan node is finite; a narrowing step reads the NaN, which
+    # must be refused as the scan refuses one, not returned as a pole.
+    with pytest.raises(ValueError,
+                       match=r"^denominator is not finite at r=\S+$") \
+            as caught:
+        find_poles(denominator, RadialGrid(4.0))
+    radius = float(str(caught.value).rsplit("=", 1)[1])
+    assert abs(radius - 1.0) < 1e-6
+
+
 def _recording(denominator):
     """denominator, plus the list of radii arrays it was called on."""
     calls = []
