@@ -68,6 +68,13 @@ class STOPrimitive:
         if not (self.zeta > 0.0 and math.isfinite(self.zeta)):
             raise BasisSchemaError(f"primitive zeta must be positive, "
                                    f"got {self.zeta!r}")
+        try:
+            # The density table holds the norm and zeta^4 as floats.
+            self.norm, self.zeta ** (jets.ORDERS - 1)
+        except OverflowError:
+            raise BasisSchemaError(
+                f"primitive zeta={self.zeta!r} overflows the density "
+                f"table for n={self.n}") from None
 
     @property
     def norm(self) -> float:

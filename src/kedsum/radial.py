@@ -14,18 +14,21 @@ the only geometry is the radial half-line.  This module owns:
   the cutoff, narrowed by vectorised Illinois steps and finished by a
   secant step,
 * ``principal_value_integrate`` -- Cauchy principal values across simple
-  poles of resummed integrands: symmetric windows around the poles, and
-  the plain segments between them with every pole's A/(r - r*) tail
-  subtracted and added back in closed form,
+  poles of resummed integrands, for one integrand or a stack of them
+  with one pole list per row: symmetric windows around the poles, and
+  the plain segments between them with each row's A/(r - r*) tails
+  subtracted and added back in closed form, every row on one interval
+  list cut at every window and at the density's knots,
 * ``tabulated_derivatives`` -- densities interpolated through
-  ``(r, rho)`` samples by a quintic spline in ``log rho``.
+  ``(r, rho)`` samples by a quintic spline in ``log rho``, whose
+  interior knots the model carries as its ``breakpoints``.
 
 Quadrature is a globally adaptive Gauss-Kronrod 10/21 rule in numpy
-(``quad``) that evaluates each refinement round as one batch of radii;
-a stacked integrand spends each batch on every row, and each row is
-held to its own tolerance.  ``quad`` returns each value with its error
-estimate and raises ``QuadratureError`` when it cannot meet the
-tolerance, so no caller reads a status.
+(``quad``) that evaluates each refinement round as one batch of radii,
+``QUAD_CALL_RADII`` at a time; a stacked integrand spends each batch on
+every row, and each row is held to its own tolerance.  ``quad`` returns
+each value with its error estimate and raises ``QuadratureError`` when
+it cannot meet the tolerance, so no caller reads a status.
 Splines are FITPACK's: ``tabulated_derivatives`` imports scipy when it
 is called, and it is the only code that does, so atoms and Hooke
 densities never load scipy.
@@ -34,7 +37,7 @@ densities never load scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,10 +47,17 @@ from . import kedf
 FOUR_PI = 4.0 * math.pi
 
 # Relative accuracy asked of every radial integral, and the most
-# subintervals one integral may be split into.
+# bisections one integral may make: the intervals refinement adds to the
+# starting list, which a tabulated row cuts at each of its knots.
 QUAD_RELTOL = 1e-10
 QUAD_ABSTOL = 1e-13
 QUAD_LIMIT = 400
+# Radii one call of a ``quad`` integrand takes at most, as many as the
+# pole scan's nodes, which bounds a round's temporaries.  A tabulated
+# row starts from its knot intervals, about 8k radii (six calls) on a
+# 400-sample table.  On the benchmark's tables one pass then traces a
+# peak of 0.38 MB; 4,096 radii a call took two or three calls and 0.79 MB.
+QUAD_CALL_RADII = 1600
 
 # The 21-point Kronrod rule on [-1, 1] and its embedded 10-point Gauss
 # rule, as tabulated in QUADPACK's qk21 (Piessens et al., 1983): the
@@ -156,12 +166,16 @@ class DensityModel:
     the analytic or measured value of ``4 pi int r^2 rho dr``; shipped
     models must satisfy it to 1e-8 relative.  ``r_support`` bounds the
     trustworthy domain for models that only exist on a finite table.
+    ``breakpoints`` are the radii where the profile is not smooth: the
+    interior knots of a tabulated model's spline, a view of the knot
+    array the spline holds, and none for an analytic model.
     """
 
     profile: Callable[[float | np.ndarray], np.ndarray]
     electron_count: float
     label: str = ""
     r_support: float | None = None
+    breakpoints: Sequence[float] = field(default=(), compare=False)
 
     def eval(self, r) -> np.ndarray:
         return self.profile(np.asarray(r, dtype=float))
@@ -246,17 +260,15 @@ def _weighted(f: Callable, r):
     return FOUR_PI * r * r * f(r)
 
 
-def _gk21(f: Callable, lo: np.ndarray, hi: np.ndarray):
-    """QUADPACK's qk21 on every interval [lo_i, hi_i], f called once.
+def _kronrod(f: Callable, lo: np.ndarray, hi: np.ndarray):
+    """qk21 on every interval [lo_i, hi_i], f called once on their nodes.
 
-    f returns one value per radius, or an ``(m, n)`` array: m integrands
-    at the same n radii.  Returns each interval's Kronrod estimate and
-    its error estimate, shaped like f's values with the radii replaced
-    by the intervals: the Gauss-Kronrod difference, scaled against the
-    integrand's spread over the interval and floored at 50 ulps of the
-    integral of |f|.  A row gets the same bits as it would alone.  A
-    value of f that is not finite raises ``QuadratureError`` naming the
-    smallest such radius, and its row when f has several.
+    Returns each interval's estimate and error estimate, shaped like f's
+    values with the radii replaced by the intervals, and None; or, when
+    a value is not finite, None, None and the smallest such radius, its
+    row, the value and the number of rows.  The error is the
+    Gauss-Kronrod difference, scaled against the integrand's spread over
+    the interval and floored at 50 ulps of the integral of |f|.
     """
 
     center = 0.5 * (lo + hi)
@@ -268,12 +280,9 @@ def _gk21(f: Callable, lo: np.ndarray, hi: np.ndarray):
     if np.any(bad):
         i = int(np.argmin(np.where(np.any(bad, axis=0), radii, np.inf)))
         row = int(np.argmax(bad[:, i]))
-        which = "integrand" if len(rows) == 1 else f"integrand row {row}"
-        raise QuadratureError(
-            f"{which} is not finite at r={radii[i]:.12g} "
-            f"(got {rows[row, i]})")
+        return None, None, (radii[i], row, rows[row, i], len(rows))
     # A stacked matmul rounds each row as a lone one would.
-    rows = rows.reshape(-1, lo.size, GK21_NODES.size)
+    rows = rows.reshape(len(rows), lo.size, GK21_NODES.size)
     kronrod = rows @ GK21_WEIGHTS
     gauss = rows[..., 1::2] @ GAUSS10_WEIGHTS
     mean = 0.5 * kronrod
@@ -287,7 +296,34 @@ def _gk21(f: Callable, lo: np.ndarray, hi: np.ndarray):
     floor = resabs > _TINY / (50.0 * _EPS)
     error = np.where(floor, np.maximum(50.0 * _EPS * resabs, error), error)
     shape = values.shape[:-1] + lo.shape
-    return (kronrod * half).reshape(shape), error.reshape(shape)
+    return (kronrod * half).reshape(shape), error.reshape(shape), None
+
+
+def _gk21(f: Callable, lo: np.ndarray, hi: np.ndarray):
+    """QUADPACK's qk21 on every interval [lo_i, hi_i].
+
+    The intervals go to ``_kronrod`` in runs of whole intervals, at most
+    ``QUAD_CALL_RADII`` radii a call of f, and each run is reduced to its
+    estimates before the next, so a long interval list is never held at
+    every node.  f returns one value per radius, or an ``(m, n)`` array:
+    m integrands at the same n radii.  Returns each interval's estimate
+    and error estimate, shaped like f's values with the radii replaced
+    by the intervals.  A row gets the same bits as it would alone.  A
+    value of f that is not finite raises ``QuadratureError`` naming the
+    smallest such radius, and its row when f has several.
+    """
+
+    width = max(1, QUAD_CALL_RADII // GK21_NODES.size)
+    parts = [_kronrod(f, lo[i:i + width], hi[i:i + width])
+             for i in range(0, lo.size, width)]
+    failures = [part[2] for part in parts if part[2] is not None]
+    if failures:
+        radius, row, got, count = min(failures)
+        which = "integrand" if count == 1 else f"integrand row {row}"
+        raise QuadratureError(
+            f"{which} is not finite at r={radius:.12g} (got {got})")
+    return tuple(np.concatenate([part[k] for part in parts], axis=-1)
+                 for k in (0, 1))
 
 
 def quad(f: Callable, a, b):
@@ -299,14 +335,16 @@ def quad(f: Callable, a, b):
     or an ``(m, n)`` array of m integrands that share the interval list;
     the endpoints are never evaluated, and a value that is not finite
     raises ``QuadratureError``.  Each round evaluates the 21 nodes of
-    every interval that still needs work in one call of f.  Then every
-    integrand whose error estimate exceeds its own tolerance
-    max(QUAD_ABSTOL, QUAD_RELTOL |value|) picks the intervals with its
-    largest error estimates, as many as it takes for their errors to
-    cover its excess, and the round bisects the union of the picks, in
-    the order first picked, keeping at most QUAD_LIMIT intervals in all.
-    A lone integrand and a one-row stack take the same steps and get
-    the same bits.
+    every interval that still needs work, in one call of f per
+    ``QUAD_CALL_RADII`` radii.  Then every integrand whose error
+    estimate exceeds its own tolerance max(QUAD_ABSTOL, QUAD_RELTOL
+    |value|) picks the intervals with its largest error estimates, as
+    many as it takes for their errors to cover its excess, and the round
+    bisects the union of the picks, in the order first picked.  At most
+    QUAD_LIMIT bisections are made in all: the limit counts the
+    intervals that refinement adds to the starting list, however long
+    that list is.  A lone integrand and a one-row stack take the same
+    steps and get the same bits.
 
     Returns ``(value, abserr, info)``: floats for a 1-d f, arrays of m
     for a stacked one.  ``info["neval"]`` counts the radii f was called
@@ -321,7 +359,7 @@ def quad(f: Callable, a, b):
     new_lo, new_hi = (np.array(a, dtype=float, ndmin=1),
                       np.array(b, dtype=float, ndmin=1))
     values = errors = None
-    neval, status = 0, 0
+    neval, status, start = 0, 0, new_lo.size
     while True:
         new_values, new_errors = _gk21(f, new_lo, new_hi)
         scalar = new_values.ndim == 1
@@ -339,7 +377,7 @@ def quad(f: Callable, a, b):
                                      QUAD_RELTOL * np.abs(value))
         if np.all(excess <= 0.0):
             break
-        room = QUAD_LIMIT - lo.size
+        room = QUAD_LIMIT - (lo.size - start)
         if room == 0:
             status = 1
             break
@@ -508,10 +546,13 @@ def _pole_windows(poles: np.ndarray, r_max: float) -> np.ndarray:
     return np.minimum(deltas, np.minimum(0.5 * poles, 0.5 * (r_max - poles)))
 
 
-def _window_integrals(f: Callable, poles: np.ndarray,
-                      deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _window_integrals(f: Callable, poles: np.ndarray, deltas: np.ndarray,
+                      rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Integral of g - A/(r - r*), g = 4 pi r^2 f, over every window,
     and every residue A.
+
+    f returns an ``(m, n)`` stack of integrands, and each pole reads the
+    row ``rows`` gives it.
 
     Each window is evaluated as int_0^delta [g(r*+t) + g(r*-t)] dt:
     mirrored nodes make the subtracted 1/(r - r*) term cancel pairwise,
@@ -525,8 +566,8 @@ def _window_integrals(f: Callable, poles: np.ndarray,
     converges as h^2, h^4, ...  A ladder that does not settle flags a
     pole that is not simple, and the PV prescription does not apply.
     Every ladder and every window node of every pole is one batched
-    call of f; a value that is not finite raises ``QuadratureError``
-    naming the smallest such radius.
+    call of f; a value that a pole reads that is not finite raises
+    ``QuadratureError`` naming the smallest such radius.
     """
 
     offsets = deltas[:, None] / np.array([1.0, 2.0, 4.0, 8.0, 16.0])
@@ -538,7 +579,8 @@ def _window_integrals(f: Callable, poles: np.ndarray,
     w = 0.5 * deltas[:, None] * _PV_GAUSS_WEIGHTS
     radii = poles[:, None] + np.concatenate((offsets, -offsets, t, -t),
                                             axis=1)
-    values = _weighted(f, radii.ravel()).reshape(radii.shape)
+    values = _weighted(f, radii.ravel()).reshape((-1,) + radii.shape)
+    values = values[rows, np.arange(poles.size)]
     bad = ~np.isfinite(values)
     if np.any(bad):
         i, j = np.unravel_index(np.argmin(np.where(bad, radii, np.inf)),
@@ -574,68 +616,112 @@ def _window_integrals(f: Callable, poles: np.ndarray,
     return windows, best
 
 
-def principal_value_integrate(f: Callable,
-                              poles: Sequence[float],
-                              grid: RadialGrid) -> float:
+def principal_value_integrate(f: Callable, poles: Sequence, grid: RadialGrid,
+                              breakpoints: Sequence[float] = ()):
     """Cauchy principal value of ``4 pi int r^2 f dr`` across simple poles.
 
-    With no poles this is exactly ``integrate_radial``.  Otherwise the
-    domain is split into plain segments plus a symmetric window around
-    each pole.  The windows use pole subtraction, and their residue
-    ladders double as a simple-pole sanity check (see
-    _window_integrals).  The plain segments are one ``quad`` call,
-    refined from one interval list under one tolerance, on
-    g - sum_k A_k/(r - r_k): with every pole's A_k/(r - r_k) tail taken
-    off, the integrand left between the windows is smooth.  The tails
+    f takes a 1-d array of radii, as for ``integrate_radial``, and
+    ``poles`` lists its poles; the result is a float.  Or f returns an
+    ``(m, n)`` stack of integrands, ``poles`` holds one list per row,
+    and the result is an array of m principal values from one ``quad``
+    call.  With no poles and no breakpoints this is ``integrate_radial``.
+
+    Each row's domain is split into a symmetric window around each of
+    its poles and the plain segments between them.  The windows use
+    pole subtraction, and their residue ladders double as a simple-pole
+    sanity check (see _window_integrals); one call covers every window
+    of every row.  On the plain segments a row integrates
+    g - sum_k A_k/(r - r_k) over its own poles: with their tails taken
+    off, the integrand left between its windows is smooth.  The tails
     are added back in closed form, A_k ln|(hi - r_k)/(lo - r_k)| for
-    every plain segment [lo, hi], so the other poles' windows are left
-    out of each pole's logarithm.  Close poles have large windows that
-    cancel each other; when ``PV_WINDOW_ROUNDOFF`` times their summed
-    magnitude exceeds the quadrature tolerance on the result, the
-    result is refused with ``PrincipalValueError``.  f takes an array of
-    radii, as for ``integrate_radial``.
+    every plain segment [lo, hi] of the row, so the other poles'
+    windows are left out of each pole's logarithm.
+
+    All rows share one interval list, cut at every window edge and every
+    pole of every row and at each of ``breakpoints`` (the radii where
+    the integrand is not smooth, such as a spline's knots) inside
+    (0, r_max).  A row reads zero on the intervals inside its own
+    windows, and an interval inside the windows of every row is left
+    out.  No pole is ever a node, so no row is evaluated at its own
+    pole, and a lone integrand integrates exactly its plain segments.
+
+    Close poles have large windows that cancel each other; when
+    ``PV_WINDOW_ROUNDOFF`` times a row's summed window magnitude
+    exceeds the quadrature tolerance on its result, the result is
+    refused with ``PrincipalValueError``.
     """
 
-    poles = np.sort(np.asarray(poles, dtype=float))
-    if poles.size == 0:
-        return integrate_radial(f, grid)
-
+    stacked = len(poles) > 0 and np.ndim(poles[0]) > 0
+    rows = [np.sort(np.asarray(p, dtype=float))
+            for p in (poles if stacked else [poles])]
     r_max = grid.r_max
-    for pole in poles:
-        if not (0.0 < pole < r_max):
-            raise PrincipalValueError(
-                f"pole at r={pole:.8g} lies outside (0, r_max)")
     floor = PV_SEPARATION_FLOOR * r_max
-    for left, right in zip(poles, poles[1:]):
-        if right - left < 2.0 * floor:
-            raise PrincipalValueError(
-                f"poles at r={left:.8g} and r={right:.8g} are too close "
-                "to separate with symmetric windows")
+    for row in rows:
+        for pole in row:
+            if not (0.0 < pole < r_max):
+                raise PrincipalValueError(
+                    f"pole at r={pole:.8g} lies outside (0, r_max)")
+        for left, right in zip(row, row[1:]):
+            if right - left < 2.0 * floor:
+                raise PrincipalValueError(
+                    f"poles at r={left:.8g} and r={right:.8g} are too "
+                    "close to separate with symmetric windows")
 
-    deltas = _pole_windows(poles, r_max)
-    windows, residues = _window_integrals(f, poles, deltas)
-    # The plain segments between windows; two windows may touch.
-    lo = np.concatenate(([0.0], poles + deltas))
-    hi = np.concatenate((poles - deltas, [r_max]))
-    plain = lo < hi
-    lo, hi = lo[plain], hi[plain]
+    stack = f if stacked else (lambda r: f(r)[None])
+    deltas = [_pole_windows(row, r_max) for row in rows]
+    every_pole, every_delta = np.concatenate(rows), np.concatenate(deltas)
+    owner = np.repeat(np.arange(len(rows)), [row.size for row in rows])
+    own = [np.flatnonzero(owner == i) for i in range(len(rows))]
+    windows = residues = np.empty(0)
+    if every_pole.size:
+        windows, residues = _window_integrals(stack, every_pole,
+                                              every_delta, owner)
+    left, right = every_pole - every_delta, every_pole + every_delta
+    edges = np.sort(np.concatenate(
+        ([0.0, r_max], left, every_pole, right,
+         np.asarray(breakpoints, dtype=float))))
+    edges = edges[(edges >= 0.0) & (edges <= r_max)]
+    edges = edges[np.r_[True, edges[1:] > edges[:-1]]]
+    lo, hi = edges[:-1], edges[1:]
+    covered = [np.any((lo[:, None] >= left[k]) & (hi[:, None] <= right[k]),
+                      axis=1) for k in own]
+    needed = ~np.all(covered, axis=0)
+    lo, hi = lo[needed], hi[needed]
 
     def smooth(r):
-        return (_weighted(f, r)
-                - (1.0 / np.subtract.outer(r, poles)) @ residues)
+        values = _weighted(stack, r)
+        for i, k in enumerate(own):
+            if k.size:
+                inside = np.any((r[:, None] > left[k])
+                                & (r[:, None] < right[k]), axis=1)
+                values[i, inside] = 0.0
+                values[i, ~inside] -= ((1.0 / np.subtract.outer(
+                    r[~inside], every_pole[k])) @ residues[k])
+        return values if stacked else values[0]
 
-    tails = np.log(np.abs(np.subtract.outer(hi, poles)
-                          / np.subtract.outer(lo, poles))).sum(axis=0)
-    value = (quad(smooth, lo, hi)[0] + float(residues @ tails)
-             + float(np.sum(windows)))
-    magnitude = float(np.sum(np.abs(windows)))
-    if PV_WINDOW_ROUNDOFF * magnitude > max(QUAD_ABSTOL,
-                                            QUAD_RELTOL * abs(value)):
-        raise PrincipalValueError(
-            f"pole windows of total magnitude {magnitude:.6g} cancel to "
-            f"a principal value of {value:.6g}, past the quadrature "
-            "tolerance; the poles are too close")
-    return value
+    plain = np.atleast_1d(quad(smooth, lo, hi)[0])
+    values = []
+    for i, k in enumerate(own):
+        value = plain[i]
+        if k.size:
+            # The row's own plain segments; two of its windows may touch.
+            seg_lo = np.concatenate(([0.0], right[k]))
+            seg_hi = np.concatenate((left[k], [r_max]))
+            seg = seg_lo < seg_hi
+            tails = np.log(np.abs(
+                np.subtract.outer(seg_hi[seg], every_pole[k])
+                / np.subtract.outer(seg_lo[seg], every_pole[k]))).sum(axis=0)
+            value = (value + float(residues[k] @ tails)
+                     + float(np.sum(windows[k])))
+            magnitude = float(np.sum(np.abs(windows[k])))
+            if PV_WINDOW_ROUNDOFF * magnitude > max(
+                    QUAD_ABSTOL, QUAD_RELTOL * abs(value)):
+                raise PrincipalValueError(
+                    f"pole windows of total magnitude {magnitude:.6g} "
+                    f"cancel to a principal value of {value:.6g}, past the "
+                    "quadrature tolerance; the poles are too close")
+        values.append(float(value))
+    return np.array(values) if stacked else values[0]
 
 
 def load_density_table(path) -> tuple[np.ndarray, np.ndarray]:
@@ -742,7 +828,9 @@ def tabulated_derivatives(r: np.ndarray, rho: np.ndarray,
                      + 6.0 * y1 * y1 * y2 + y1 ** 4),
         ])
 
+    # The interior knots, r[3:-3], inside the end knots' six copies.
     model = DensityModel(profile=profile, electron_count=math.nan,
-                         label=label, r_support=float(r[-1]))
+                         label=label, r_support=float(r[-1]),
+                         breakpoints=tck[0][6:-6])
     count = integrate_radial(model.rho, RadialGrid(float(r[-1])))
     return replace(model, electron_count=count)

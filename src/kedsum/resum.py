@@ -24,7 +24,7 @@ import numpy as np
 
 from .kedf import tau_point
 from .radial import (DensityModel, RadialGrid, find_poles, grid_for_density,
-                     integrate_radial, principal_value_integrate)
+                     principal_value_integrate)
 
 
 class PadePole(ArithmeticError):
@@ -206,30 +206,26 @@ def run_methods(model: DensityModel, methods, grid: RadialGrid,
     """Total kinetic energy of each method over one density.
 
     The Pade methods' denominators are scanned together for sign
-    changes (``method_poles``).  Every method without a pole, the
-    partial sums and any Pade method whose scan finds none, is then
-    integrated in one ``integrate_radial`` call on one interval list,
-    so each density evaluation serves all of them.  A Pade method with
-    poles takes the principal-value route on its own, and its poles are
-    recorded in its report.
+    changes (``method_poles``).  Then every method is integrated in one
+    ``principal_value_integrate`` call: the pole windows of every Pade
+    method come from one batch of radii, and one interval list, cut at
+    every window and at the model's ``breakpoints``, serves all of the
+    methods, so each refinement round evaluates the density once for
+    all of them.  Each report records the poles its method crossed.
     """
 
     methods = list(methods)
-    poles = dict(zip(methods, method_poles(model, methods, grid)))
-    plain = [m for m in methods if not poles[m]]
+    poles = method_poles(model, methods, grid)
 
-    def integrands(r, chosen=plain):
+    def integrands(r):
         p = tau_point(model.eval(r), r)
-        return np.array([EVALUATORS[m](p) for m in chosen])
+        return np.array([EVALUATORS[m](p) for m in methods])
 
-    values = dict(zip(plain, integrate_radial(integrands, grid)
-                      if plain else ()))
-    for m in methods:
-        if poles[m]:
-            values[m] = principal_value_integrate(
-                lambda r: integrands(r, [m])[0], poles[m], grid)
-    return [KineticReport(method=m, T=float(values[m]), t_ref=t_ref,
-                          poles=tuple(poles[m])) for m in methods]
+    values = principal_value_integrate(integrands, poles, grid,
+                                       model.breakpoints)
+    return [KineticReport(method=m, T=float(value), t_ref=t_ref,
+                          poles=tuple(found))
+            for m, value, found in zip(methods, values, poles)]
 
 
 def integrate_method(model: DensityModel, method: ResumMethod,

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 from importlib import resources
 
@@ -157,6 +158,16 @@ def test_schema_errors_name_the_offending_field(tmp_path, mutate, fragment):
     mutate(payload)
     path = _write_basis(tmp_path, payload)
     with pytest.raises(atoms.BasisSchemaError, match=fragment):
+        atoms.parse_sto(path)
+
+
+@pytest.mark.parametrize("zeta", [1e78, 1e200])
+def test_a_zeta_that_overflows_the_density_table_is_a_schema_error(
+        tmp_path, zeta):
+    # zeta^4 is past the float range; the load raised OverflowError.
+    path = _write_basis(tmp_path, _single_zeta("He", 2, zeta, 2))
+    with pytest.raises(atoms.BasisSchemaError, match=re.escape(
+            f"shells[0].primitives[0]: primitive zeta={zeta!r} overflows")):
         atoms.parse_sto(path)
 
 

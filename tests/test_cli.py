@@ -174,6 +174,19 @@ def test_malformed_basis_file_exits_3(runner, tmp_path):
     assert "missing key" in result.output
 
 
+@pytest.mark.parametrize("zeta", [1e78, 1e200])
+def test_basis_whose_zeta_overflows_exits_3(runner, tmp_path, zeta):
+    # It exited 1 with an OverflowError traceback.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "element": "He", "electron_count": 2,
+        "shells": [{"l": 0, "occ": 2, "primitives": [{"n": 1, "zeta": zeta}],
+                    "coeffs": [1.0]}]}), encoding="utf-8")
+    result = runner.invoke(main, ["atom", "--basis", str(path)])
+    assert result.exit_code == 3
+    assert f"shells[0].primitives[0]: primitive zeta={zeta!r}" in result.output
+
+
 def test_bad_table_exits_3(runner, tmp_path):
     out = tmp_path / "out.csv"
     result = runner.invoke(

@@ -12,7 +12,7 @@ import pytest
 import scipy.integrate
 from hypothesis import assume, given, settings, strategies as st
 
-from kedsum import atoms, hooke, kedf, profiles, radial
+from kedsum import atoms, hooke, kedf, profiles, radial, resum
 from kedsum.radial import (
     PrincipalValueError,
     QuadratureError,
@@ -286,6 +286,19 @@ def test_quad_counts_21_nodes_per_interval_in_one_call_per_round():
         assert info["neval"] == sum(sizes)
 
 
+def test_quad_limit_counts_only_the_intervals_bisection_adds():
+    # 1,000 starting intervals, more than QUAD_LIMIT, and a peak of
+    # width 1e-4 that the interval holding it must be bisected for.
+    edges = np.linspace(0.0, 1.0, 1001)
+    eps = 1e-4
+    value, abserr, info = radial.quad(
+        lambda r: 1.0 / (eps * eps + (r - 0.3) ** 2), edges[:-1], edges[1:])
+    exact = (math.atan(0.7 / eps) + math.atan(0.3 / eps)) / eps
+    assert info["status"] == 0
+    assert info["neval"] > 21 * 1000
+    assert value == pytest.approx(exact, rel=1e-10)
+
+
 def _peaked(r):
     return 1.0 / (1e-3 + (r - 0.3) ** 2)
 
@@ -517,6 +530,12 @@ def test_pv_with_regular_part():
     assert value == pytest.approx(2.0, abs=1e-8)
 
 
+def _exponential_over(poles):
+    """f with 4 pi r^2 f = e^-r / prod_k (r - r_k)."""
+    return _inverse_weight(lambda r: np.exp(-r) / np.prod(
+        np.subtract.outer(r, poles), axis=-1))
+
+
 def _pv_exponential(poles, r_max):
     """PV int_0^r_max e^-r / prod_k (r - r_k) dr, by partial fractions:
     the sum over k of e^-r_k (Ei(r_k - r_max) - Ei(r_k)) / prod_{j != k}
@@ -555,11 +574,55 @@ def test_pv_across_several_poles_matches_partial_fractions(poles):
     # themselves, so ln((r_max - r_k) / r_k) over the whole domain would
     # count them twice.
     grid = _pv_grid()
-    value = principal_value_integrate(
-        _inverse_weight(lambda r: np.exp(-r) / np.prod(
-            np.subtract.outer(r, poles), axis=-1)), poles, grid)
+    value = principal_value_integrate(_exponential_over(poles), poles, grid)
     exact = _pv_exponential(poles, grid.r_max)
     assert value == pytest.approx(exact, rel=1e-11)
+
+
+_PARTIAL_FRACTION_POLES = [[1.0 / math.sqrt(2.0)], [0.5, 0.9], [0.3, 1.2],
+                           [0.5, 0.9, 1.6], [0.7, 0.75, 1.9]]
+
+
+def test_stacked_principal_values_match_each_row_alone():
+    # Every partial-fraction case above beside a pole-free row, each
+    # with its own pole list, in one call: one batch of windows and one
+    # interval list cut at every row's windows.
+    grid = _pv_grid()
+    rows = _PARTIAL_FRACTION_POLES + [[]]
+    integrands = [_exponential_over(poles) for poles in rows]
+    values = principal_value_integrate(
+        lambda r: np.array([f(r) for f in integrands]), rows, grid)
+    assert values.shape == (len(rows),)
+    for value, poles, f in zip(values, rows, integrands):
+        alone = principal_value_integrate(f, poles, grid)
+        assert value == pytest.approx(alone, rel=1e-13, abs=0.0)
+        if poles:
+            exact = _pv_exponential(poles, grid.r_max)
+            # The tolerances of the one-row tests above.
+            tolerance = 1e-9 if len(poles) == 1 else 1e-11
+        else:
+            exact, tolerance = 1.0 - math.exp(-grid.r_max), 1e-12
+        assert value == pytest.approx(exact, rel=tolerance, abs=0.0)
+
+
+def test_a_stacked_row_is_never_evaluated_at_its_own_pole():
+    # The pole-free row needs the window interval [0.95, 1.05], whose
+    # Gauss-Kronrod centre is the pole; the stack must not read the
+    # pole row there, as a Pade row raises PadePole at its pole.
+    grid, pole = _pv_grid(), 1.0
+    delta = radial._pole_windows(np.array([pole]), grid.r_max)[0]
+    assert 0.5 * ((pole - delta) + (pole + delta)) == pole
+
+    def stack(r):
+        if np.any(r == pole):
+            raise ZeroDivisionError(f"evaluated at the pole r={pole}")
+        return np.array([_exponential_over([pole])(r),
+                         _inverse_weight(np.exp)(r)])
+
+    value, plain = principal_value_integrate(stack, [[pole], []], grid)
+    assert value == pytest.approx(_pv_exponential([pole], grid.r_max),
+                                  rel=1e-9, abs=0.0)
+    assert plain == pytest.approx(math.expm1(grid.r_max), rel=1e-12)
 
 
 @pytest.mark.parametrize("centre", ["node", "midpoint"])
@@ -785,21 +848,22 @@ def test_tabulated_model_integrates_like_its_source():
     assert count == pytest.approx(model.electron_count, rel=1e-6)
 
 
-def _sampled_neon():
-    """The bundled Ne density at 400 log-spaced radii on [1e-4, 80],
-    every interior radius moved by up to 0.4 log-steps either way."""
-    rng = np.random.default_rng(1)
-    u = np.linspace(math.log(1e-4), math.log(80.0), 400)
-    u[1:-1] += 0.4 * (u[1] - u[0]) * rng.uniform(-1.0, 1.0, 398)
+def _sampled_atom(key="ne", seed=1, count=400):
+    """A bundled atom's density at ``count`` log-spaced radii on
+    [1e-4, 80], every interior radius moved by up to 0.4 log-steps
+    either way by a generator seeded with ``seed``."""
+    rng = np.random.default_rng(seed)
+    u = np.linspace(math.log(1e-4), math.log(80.0), count)
+    u[1:-1] += 0.4 * (u[1] - u[0]) * rng.uniform(-1.0, 1.0, count - 2)
     r = np.exp(u)
-    return r, atoms.density_model(atoms.bundled_basis("ne")).rho(r)
+    return r, atoms.density_model(atoms.bundled_basis(key)).rho(r)
 
 
 def test_tabulated_profile_is_bit_invariant_to_batching():
     # The spline takes whole arrays.  The interior knots of an
     # interpolating quintic are the samples r[3:-3]; radii one ulp
     # either side of some of them join the pole scan's nodes.
-    r, rho = _sampled_neon()
+    r, rho = _sampled_atom()
     model = tabulated_derivatives(r, rho)
     knots = r[3:-3:8]
     sides = np.concatenate((np.nextafter(knots, 0.0),
@@ -810,6 +874,57 @@ def test_tabulated_profile_is_bit_invariant_to_batching():
     batch = model.eval(radii)
     single = np.array([model.profile(float(x)) for x in radii]).T
     np.testing.assert_array_equal(single, batch)
+
+
+def test_tabulated_breakpoints_are_a_view_of_the_spline_knots():
+    r, rho = _sampled_atom()
+    model = tabulated_derivatives(r, rho)
+    assert not model.breakpoints.flags.owndata
+    np.testing.assert_array_equal(model.breakpoints, r[3:-3])
+    assert atoms.density_model(atoms.bundled_basis("ne")).breakpoints == ()
+
+
+def test_a_long_table_starts_its_quadrature_at_every_knot():
+    # About 940 knot intervals lie below r_max, more than QUAD_LIMIT,
+    # and the quadrature starts from all of them.
+    r, rho = _sampled_atom("he", count=1000)
+    model = tabulated_derivatives(r, rho)
+    grid = grid_for_density(model)
+    assert np.count_nonzero(model.breakpoints < grid.r_max) > \
+        radial.QUAD_LIMIT
+    reports = resum.run_methods(model, resum.ALL_METHODS, grid)
+    analytic = atoms.density_model(atoms.bundled_basis("he"))
+    t0 = resum.run_methods(analytic, [resum.ResumMethod.T0],
+                           grid_for_density(analytic))[0].T
+    assert reports[0].T == pytest.approx(t0, rel=1e-8)
+
+
+def _knot_split(model, knots, r_max, order):
+    """Fixed composite Gauss-Legendre of 4 pi r^2 (tau0 + tau2 + tau4) on
+    every piece of [0, r_max] between ``knots``."""
+    edges = np.concatenate(([0.0], knots[knots < r_max], [r_max]))
+    x, w = np.polynomial.legendre.leggauss(order)
+    centre, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    r = (centre[:, None] + half[:, None] * x).ravel()
+    p = kedf.tau_point(model.eval(r), r)
+    g = (FOUR_PI * r * r * (p[0] + p[1] + p[2])).reshape(half.size, order)
+    return float(np.sum((g @ w) * half))
+
+
+def test_a_tabulated_row_meets_the_tolerance_across_the_knots():
+    # Started from one interval, the three partial sums' shared list
+    # left seed 1 Be's T0+T2+T4 4.1e-10 off: the Gauss-Kronrod estimate
+    # under-reads where the spline's fourth derivative kinks.
+    r, rho = _sampled_atom("be", seed=1)
+    model = tabulated_derivatives(r, rho)
+    grid = grid_for_density(model)
+    # An interpolating quintic's interior knots are the samples r[3:-3].
+    reference = _knot_split(model, r[3:-3], grid.r_max, 30)
+    assert _knot_split(model, r[3:-3], grid.r_max, 20) == pytest.approx(
+        reference, rel=1e-13, abs=0.0)
+    reports = resum.run_methods(model, resum.ALL_METHODS, grid)
+    assert reports[2].method is resum.ResumMethod.T024
+    assert reports[2].T == pytest.approx(reference, rel=1e-10, abs=0.0)
 
 
 def _eval_peak_bytes(model) -> int:

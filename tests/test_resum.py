@@ -203,9 +203,9 @@ def test_run_methods_builds_the_tau_table_only_for_pade(atom_bundle):
     reports = resum.run_methods(model, [ResumMethod.T0], argon.grid,
                                 argon.t_ref)
     assert reports[0].T == alone
-    # The five-method fixture refines one interval list for every row
-    # without a pole, so its T0 may differ from a lone T0 in the last
-    # bits (2 ulps on Ar).
+    # The five-method fixture refines one interval list, cut at the
+    # Pade rows' pole windows, for every method, so its T0 may differ
+    # from a lone T0 in the last bits (2 ulps on Ar).
     assert reports[0].T == pytest.approx(argon.reports[ResumMethod.T0].T,
                                          rel=1e-14, abs=0.0)
     # The quadrature's own radii (357 on Ar) and no 1,600-node table.
@@ -232,7 +232,7 @@ def test_run_methods_evaluates_the_density_once_a_round_for_all_methods(
     assert [rep.poles for rep in reports] == [
         argon.reports[m].poles for m in resum.ALL_METHODS]
     # On Ar: the tau table and 8 steps of one pole scan for both Pade
-    # rows, 10 quadrature rounds shared by the three partial sums, and
-    # 15 calls for the two principal values.  One method at a time took
-    # 58 calls.
-    assert len(calls) <= 34
+    # rows, one batch for every pole window of both, and 4 quadrature
+    # rounds shared by all five methods.  One method at a time took 58
+    # calls, and a principal value of its own for each Pade row 34.
+    assert len(calls) <= 14
