@@ -7,28 +7,29 @@ the only geometry is the radial half-line.  This module owns:
   ``(5, n)`` jet of rho and its first four radial derivatives, and
   ``blockwise`` for profiles whose temporaries grow with the batch,
 * ``RadialGrid`` -- the integration cutoff r_max,
-* ``integrate_radial`` -- adaptive quadrature of ``4 pi r^2 f(r)``, for
-  one integrand or a stack of them on one interval list,
-* ``find_poles`` -- sign changes of a denominator, or of a stack of
-  them, read in one batched call on its own power-spaced nodes up to
-  the cutoff, narrowed by vectorised Illinois steps and finished by a
-  secant step,
+* ``integrate_radial`` -- adaptive quadrature of ``4 pi r^2 f(r)``,
+* ``find_poles`` -- sign changes of denominators, read in one batched
+  call on its own power-spaced nodes up to the cutoff, narrowed by
+  vectorised Illinois steps and finished by a secant step,
 * ``principal_value_integrate`` -- Cauchy principal values across simple
-  poles of resummed integrands, for one integrand or a stack of them
-  with one pole list per row: symmetric windows around the poles, and
-  the plain segments between them with each row's A/(r - r*) tails
-  subtracted and added back in closed form, every row on one interval
-  list cut at every window and at the density's knots,
+  poles of resummed integrands, with one pole list per row: symmetric
+  windows around the poles, and the plain segments between them with
+  each row's A/(r - r*) tails subtracted and added back in closed form,
+  every row on one interval list cut at every window and at the
+  density's knots,
 * ``tabulated_derivatives`` -- densities interpolated through
   ``(r, rho)`` samples by a quintic spline in ``log rho``, whose
   interior knots the model carries as its ``breakpoints``.
 
-Quadrature is a globally adaptive Gauss-Kronrod 10/21 rule in numpy
-(``quad``) that evaluates each refinement round as one batch of radii,
-``QUAD_CALL_RADII`` at a time; a stacked integrand spends each batch on
-every row, and each row is held to its own tolerance.  ``quad`` returns
-each value with its error estimate and raises ``QuadratureError`` when
-it cannot meet the tolerance, so no caller reads a status.
+``quad``, ``find_poles`` and ``principal_value_integrate`` take stacks:
+callables that map a 1-d array of n radii to an ``(m, n)`` array of m
+rows.  ``integrate_radial`` takes one integrand, with one value per
+radius, and hands it on as a one-row stack.  Quadrature is a globally
+adaptive Gauss-Kronrod 10/21 rule in numpy (``quad``) that evaluates
+each refinement round as one batch of radii, ``QUAD_CALL_RADII`` at a
+time, and holds each row to its own tolerance.  ``quad`` returns each
+value with its error estimate and raises ``QuadratureError`` when it
+cannot meet the tolerance, so no caller reads a status.
 Splines are FITPACK's: ``tabulated_derivatives`` imports scipy when it
 is called, and it is the only code that does, so atoms and Hooke
 densities never load scipy.
@@ -37,7 +38,7 @@ densities never load scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -140,7 +141,7 @@ _PV_GAUSS_NODES, _PV_GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed; carries the best estimate seen."""
+    """Adaptive quadrature failed; carries the best estimates seen."""
 
     def __init__(self, message: str, best_estimate: float = math.nan,
                  achieved_error: float = math.inf):
@@ -263,25 +264,24 @@ def _weighted(f: Callable, r):
 def _kronrod(f: Callable, lo: np.ndarray, hi: np.ndarray):
     """qk21 on every interval [lo_i, hi_i], f called once on their nodes.
 
-    Returns each interval's estimate and error estimate, shaped like f's
-    values with the radii replaced by the intervals, and None; or, when
-    a value is not finite, None, None and the smallest such radius, its
-    row, the value and the number of rows.  The error is the
-    Gauss-Kronrod difference, scaled against the integrand's spread over
-    the interval and floored at 50 ulps of the integral of |f|.
+    Returns the ``(m, k)`` estimates and error estimates of the m rows
+    of f on the k intervals, and None; or, when a value is not finite,
+    None, None and the smallest such radius, its row, the value and m.
+    The error is the Gauss-Kronrod difference, scaled against the
+    integrand's spread over the interval and floored at 50 ulps of the
+    integral of |f|.
     """
 
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     radii = (center[:, None] + half[:, None] * GK21_NODES).ravel()
-    values = np.asarray(f(radii), dtype=float)
-    rows = values.reshape(-1, radii.size)
+    rows = np.asarray(f(radii), dtype=float)
     bad = ~np.isfinite(rows)
     if np.any(bad):
         i = int(np.argmin(np.where(np.any(bad, axis=0), radii, np.inf)))
         row = int(np.argmax(bad[:, i]))
         return None, None, (radii[i], row, rows[row, i], len(rows))
-    # A stacked matmul rounds each row as a lone one would.
+    # A stacked matmul rounds each row as a one-row stack would.
     rows = rows.reshape(len(rows), lo.size, GK21_NODES.size)
     kronrod = rows @ GK21_WEIGHTS
     gauss = rows[..., 1::2] @ GAUSS10_WEIGHTS
@@ -295,8 +295,7 @@ def _kronrod(f: Callable, lo: np.ndarray, hi: np.ndarray):
     error = np.where(nonflat, resasc * np.minimum(1.0, ratio ** 1.5), error)
     floor = resabs > _TINY / (50.0 * _EPS)
     error = np.where(floor, np.maximum(50.0 * _EPS * resabs, error), error)
-    shape = values.shape[:-1] + lo.shape
-    return (kronrod * half).reshape(shape), error.reshape(shape), None
+    return kronrod * half, error, None
 
 
 def _gk21(f: Callable, lo: np.ndarray, hi: np.ndarray):
@@ -305,12 +304,11 @@ def _gk21(f: Callable, lo: np.ndarray, hi: np.ndarray):
     The intervals go to ``_kronrod`` in runs of whole intervals, at most
     ``QUAD_CALL_RADII`` radii a call of f, and each run is reduced to its
     estimates before the next, so a long interval list is never held at
-    every node.  f returns one value per radius, or an ``(m, n)`` array:
-    m integrands at the same n radii.  Returns each interval's estimate
-    and error estimate, shaped like f's values with the radii replaced
-    by the intervals.  A row gets the same bits as it would alone.  A
-    value of f that is not finite raises ``QuadratureError`` naming the
-    smallest such radius, and its row when f has several.
+    every node.  f is a stack, as for ``quad``.  Returns the ``(m, k)``
+    estimates and error estimates on the k intervals; a row gets the
+    same bits as in a one-row stack.  A value of f that is not finite
+    raises ``QuadratureError`` naming the smallest such radius, and its
+    row when m > 1.
     """
 
     width = max(1, QUAD_CALL_RADII // GK21_NODES.size)
@@ -327,51 +325,35 @@ def _gk21(f: Callable, lo: np.ndarray, hi: np.ndarray):
 
 
 def quad(f: Callable, a, b):
-    """Globally adaptive Gauss-Kronrod 10/21 estimate of int_a^b f.
+    """Globally adaptive Gauss-Kronrod 10/21 estimates of int_a^b f.
 
-    a and b are floats, or equal-length arrays of interval ends whose
-    integrals are summed; either way every interval starts in one
-    interval list.  f takes a 1-d array of n radii and returns n values,
-    or an ``(m, n)`` array of m integrands that share the interval list;
-    the endpoints are never evaluated, and a value that is not finite
-    raises ``QuadratureError``.  Each round evaluates the 21 nodes of
-    every interval that still needs work, in one call of f per
+    f maps a 1-d array of n radii to an ``(m, n)`` stack of m integrands,
+    which share one interval list; a and b are floats, or equal-length
+    arrays of interval ends whose integrals are summed.  The endpoints
+    are never evaluated, and a value that is not finite raises
+    ``QuadratureError``.  Each round evaluates the 21 nodes of every
+    interval that still needs work, in one call of f per
     ``QUAD_CALL_RADII`` radii.  Then every integrand whose error
     estimate exceeds its own tolerance max(QUAD_ABSTOL, QUAD_RELTOL
     |value|) picks the intervals with its largest error estimates, as
     many as it takes for their errors to cover its excess, and the round
     bisects the union of the picks, in the order first picked.  At most
-    QUAD_LIMIT bisections are made in all: the limit counts the
-    intervals that refinement adds to the starting list, however long
-    that list is.  A lone integrand and a one-row stack take the same
-    steps and get the same bits.
+    QUAD_LIMIT bisections are made in all, beyond the starting list
+    however long it is.
 
-    Returns ``(value, abserr, info)``: floats for a 1-d f, arrays of m
-    for a stacked one.  ``info["neval"]`` counts the radii f was called
-    on, and ``info["status"]`` is 0 when every integrand converged and
-    2 when an interval grew too small to bisect but every error
-    estimate is already within 1e-9 of max(|value|, 1).  Any other stop,
-    the interval limit included, raises ``QuadratureError`` carrying the
-    best estimate and its error.
+    Returns ``(value, abserr, info)``, arrays of m.  ``info["neval"]``
+    counts the radii f was called on, and ``info["status"]`` is 0 when
+    every integrand converged and 2 when an interval grew too small to
+    bisect but every error estimate is already within 1e-9 of
+    max(|value|, 1).  Any other stop, the interval limit included,
+    raises ``QuadratureError`` carrying the best estimates and errors.
     """
 
-    lo = hi = np.empty(0)
-    new_lo, new_hi = (np.array(a, dtype=float, ndmin=1),
-                      np.array(b, dtype=float, ndmin=1))
-    values = errors = None
-    neval, status, start = 0, 0, new_lo.size
+    lo, hi = (np.array(a, dtype=float, ndmin=1),
+              np.array(b, dtype=float, ndmin=1))
+    values, errors = _gk21(f, lo, hi)
+    neval, status, start = GK21_NODES.size * lo.size, 0, lo.size
     while True:
-        new_values, new_errors = _gk21(f, new_lo, new_hi)
-        scalar = new_values.ndim == 1
-        new_values, new_errors = (np.atleast_2d(new_values),
-                                  np.atleast_2d(new_errors))
-        neval += GK21_NODES.size * new_lo.size
-        lo, hi = np.concatenate((lo, new_lo)), np.concatenate((hi, new_hi))
-        if values is None:
-            values, errors = new_values, new_errors
-        else:
-            values = np.concatenate((values, new_values), axis=1)
-            errors = np.concatenate((errors, new_errors), axis=1)
         value, abserr = values.sum(axis=1), errors.sum(axis=1)
         excess = abserr - np.maximum(QUAD_ABSTOL,
                                      QUAD_RELTOL * np.abs(value))
@@ -398,16 +380,18 @@ def quad(f: Callable, a, b):
             break
         new_lo = np.concatenate((lo[pick], mid))
         new_hi = np.concatenate((mid, hi[pick]))
+        new_values, new_errors = _gk21(f, new_lo, new_hi)
+        neval += GK21_NODES.size * new_lo.size
         keep = np.ones(lo.size, dtype=bool)
         keep[pick] = False
-        lo, hi = lo[keep], hi[keep]
-        values, errors = values[:, keep], errors[:, keep]
-    if scalar:
-        value, abserr = float(value[0]), float(abserr[0])
+        lo = np.concatenate((lo[keep], new_lo))
+        hi = np.concatenate((hi[keep], new_hi))
+        values = np.concatenate((values[:, keep], new_values), axis=1)
+        errors = np.concatenate((errors[:, keep], new_errors), axis=1)
     if status and not (status == 2 and np.all(
             abserr <= 1e-9 * np.maximum(np.abs(value), 1.0))):
-        estimate = ", ".join(f"{v:.12g}" for v in np.atleast_1d(value))
-        error = ", ".join(f"{e:.3g}" for e in np.atleast_1d(abserr))
+        estimate = ", ".join(f"{v:.12g}" for v in value)
+        error = ", ".join(f"{e:.3g}" for e in abserr)
         raise QuadratureError(
             f"quadrature on [{np.min(a):g}, {np.max(b):g}] did not "
             f"converge (status {status}, estimate {estimate}, "
@@ -416,18 +400,16 @@ def quad(f: Callable, a, b):
     return value, abserr, {"neval": neval, "status": status}
 
 
-def integrate_radial(f: Callable, grid: RadialGrid):
+def integrate_radial(f: Callable, grid: RadialGrid) -> float:
     """Adaptive estimate of ``4 pi int_0^rmax r^2 f(r) dr``.
 
-    f takes a 1-d array of radii and returns a value per radius, giving
-    a float, or an ``(m, n)`` stack of m integrands, giving m integrals
-    from one interval list (see ``quad``).  ``quad`` calls f once per
-    refinement round; a value that is not finite raises
-    ``QuadratureError`` naming the smallest such radius, and so does a
-    run that does not converge.
+    f takes a 1-d array of radii and returns one value per radius; it
+    goes to ``quad`` as a one-row stack, whose integral is returned as a
+    float.  A value that is not finite raises ``QuadratureError`` naming
+    the smallest such radius, and so does a run that does not converge.
     """
 
-    return quad(lambda r: _weighted(f, r), 0.0, grid.r_max)[0]
+    return float(quad(lambda r: _weighted(f, r)[None], 0.0, grid.r_max)[0][0])
 
 
 def _scan_nodes(r_max: float) -> np.ndarray:
@@ -445,16 +427,16 @@ def _require_finite_denominator(r: np.ndarray, values: np.ndarray):
     """Refuse values at r, naming the least radius of one not finite."""
     finite = np.isfinite(values)
     if not finite.all():
-        bad = np.broadcast_to(r, values.shape)[~finite].min()
+        bad = np.where(finite, np.inf, r).min()
         raise ValueError(f"denominator is not finite at r={bad:.12g}")
 
 
 def find_poles(denominator: Callable, grid: RadialGrid):
     """Locate sign changes of ``denominator`` on [1e-5 r_max, r_max].
 
-    ``denominator`` maps a 1-d array of radii to one value per radius,
-    or to an ``(m, n)`` stack of m denominators scanned together.  The
-    scan reads it on ``_scan_nodes(grid.r_max)``, 1,600 nodes from
+    ``denominator`` maps a 1-d array of n radii to an ``(m, n)`` stack
+    of m denominators, which are scanned together.  The scan reads it
+    on ``_scan_nodes(grid.r_max)``, 1,600 nodes from
     1e-5 r_max up, in one batched call.  Every bracket of every row is
     then narrowed at once by Illinois steps (Dowell and Jarratt, 1971):
     regula falsi that halves the stored value of an end kept twice in a
@@ -473,19 +455,15 @@ def find_poles(denominator: Callable, grid: RadialGrid):
     ``principal_value_integrate`` is first-order in the pole offset, so
     a bracket midpoint would leave a relative error of order 1e-7 in
     the principal value.  Brackets step independently, so a row's poles
-    are the same bits whether it is scanned alone or in a stack.  Only
+    are the same bits in a stack as in a one-row stack.  Only
     odd-order (sign-changing) roots are seen, which is what the
     principal-value machinery can handle anyway.  A value that is not
-    finite raises ``ValueError`` naming its radius.
-
-    Returns the sorted poles, or one sorted list per row for a stack.
+    finite raises ``ValueError`` naming its radius.  Returns one sorted
+    list of poles per row.
     """
 
     nodes = _scan_nodes(grid.r_max)
     values = np.asarray(denominator(nodes), dtype=float)
-    stacked = values.ndim == 2
-    values = np.broadcast_to(values, values.shape[:-1] + nodes.shape)
-    values = values.reshape(-1, nodes.size)
     _require_finite_denominator(nodes, values)
 
     left, right = values[:, :-1], values[:, 1:]
@@ -513,8 +491,8 @@ def find_poles(denominator: Callable, grid: RadialGrid):
         x = np.where(width > 0.5 * widths[0, open_], 0.5 * (lo + hi),
                      np.clip(falsi, lo + margin, hi - margin))
         widths[:, open_] = np.vstack((widths[1:, open_], width))
-        fx = np.reshape(denominator(x), (-1, x.size))[row[open_],
-                                                       np.arange(x.size)]
+        fx = np.asarray(denominator(x), dtype=float)[row[open_],
+                                                     np.arange(x.size)]
         _require_finite_denominator(x, fx)
         left_half = fa[open_] * fx < 0.0
         # An exact zero closes its bracket: both ends move to x.
@@ -531,10 +509,9 @@ def find_poles(denominator: Callable, grid: RadialGrid):
     flat = (fa == 0.0) | (fb == fa)
     secant = a - fa * (b - a) / np.where(flat, 1.0, fb - fa)
     poles = np.where(flat, 0.5 * (a + b), np.clip(secant, a, b))
-    found = [sorted(poles[row == i].tolist()
-                    + ([float(nodes[-1])] if last == 0.0 else []))
-             for i, last in enumerate(values[:, -1])]
-    return found if stacked else found[0]
+    return [sorted(poles[row == i].tolist()
+                   + ([float(nodes[-1])] if last == 0.0 else []))
+            for i, last in enumerate(values[:, -1])]
 
 
 def _pole_windows(poles: np.ndarray, r_max: float) -> np.ndarray:
@@ -546,13 +523,12 @@ def _pole_windows(poles: np.ndarray, r_max: float) -> np.ndarray:
     return np.minimum(deltas, np.minimum(0.5 * poles, 0.5 * (r_max - poles)))
 
 
-def _window_integrals(f: Callable, poles: np.ndarray, deltas: np.ndarray,
+def _window_integrals(g: Callable, poles: np.ndarray, deltas: np.ndarray,
                       rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Integral of g - A/(r - r*), g = 4 pi r^2 f, over every window,
-    and every residue A.
+    """Integral of g - A/(r - r*) over every window, and every residue A.
 
-    f returns an ``(m, n)`` stack of integrands, and each pole reads the
-    row ``rows`` gives it.
+    g returns an ``(m, n)`` stack of weighted integrands 4 pi r^2 f, and
+    each pole reads the row ``rows`` gives it.
 
     Each window is evaluated as int_0^delta [g(r*+t) + g(r*-t)] dt:
     mirrored nodes make the subtracted 1/(r - r*) term cancel pairwise,
@@ -566,7 +542,7 @@ def _window_integrals(f: Callable, poles: np.ndarray, deltas: np.ndarray,
     converges as h^2, h^4, ...  A ladder that does not settle flags a
     pole that is not simple, and the PV prescription does not apply.
     Every ladder and every window node of every pole is one batched
-    call of f; a value that a pole reads that is not finite raises
+    call of g; a value that a pole reads that is not finite raises
     ``QuadratureError`` naming the smallest such radius.
     """
 
@@ -579,7 +555,7 @@ def _window_integrals(f: Callable, poles: np.ndarray, deltas: np.ndarray,
     w = 0.5 * deltas[:, None] * _PV_GAUSS_WEIGHTS
     radii = poles[:, None] + np.concatenate((offsets, -offsets, t, -t),
                                             axis=1)
-    values = _weighted(f, radii.ravel()).reshape((-1,) + radii.shape)
+    values = g(radii.ravel()).reshape((-1,) + radii.shape)
     values = values[rows, np.arange(poles.size)]
     bad = ~np.isfinite(values)
     if np.any(bad):
@@ -618,13 +594,11 @@ def _window_integrals(f: Callable, poles: np.ndarray, deltas: np.ndarray,
 
 def principal_value_integrate(f: Callable, poles: Sequence, grid: RadialGrid,
                               breakpoints: Sequence[float] = ()):
-    """Cauchy principal value of ``4 pi int r^2 f dr`` across simple poles.
+    """Cauchy principal values of ``4 pi int r^2 f dr`` across simple poles.
 
-    f takes a 1-d array of radii, as for ``integrate_radial``, and
-    ``poles`` lists its poles; the result is a float.  Or f returns an
-    ``(m, n)`` stack of integrands, ``poles`` holds one list per row,
-    and the result is an array of m principal values from one ``quad``
-    call.  With no poles and no breakpoints this is ``integrate_radial``.
+    f maps a 1-d array of n radii to an ``(m, n)`` stack of integrands,
+    and ``poles`` holds one list of poles per row, or ``ValueError`` is
+    raised.  Returns the m principal values, from one ``quad`` call.
 
     Each row's domain is split into a symmetric window around each of
     its poles and the plain segments between them.  The windows use
@@ -643,7 +617,7 @@ def principal_value_integrate(f: Callable, poles: Sequence, grid: RadialGrid,
     (0, r_max).  A row reads zero on the intervals inside its own
     windows, and an interval inside the windows of every row is left
     out.  No pole is ever a node, so no row is evaluated at its own
-    pole, and a lone integrand integrates exactly its plain segments.
+    pole, and a one-row stack integrates exactly its plain segments.
 
     Close poles have large windows that cancel each other; when
     ``PV_WINDOW_ROUNDOFF`` times a row's summed window magnitude
@@ -651,9 +625,9 @@ def principal_value_integrate(f: Callable, poles: Sequence, grid: RadialGrid,
     refused with ``PrincipalValueError``.
     """
 
-    stacked = len(poles) > 0 and np.ndim(poles[0]) > 0
-    rows = [np.sort(np.asarray(p, dtype=float))
-            for p in (poles if stacked else [poles])]
+    rows = [np.sort(np.asarray(p, dtype=float)) for p in poles]
+    if not rows:
+        raise ValueError("poles holds no pole list; give one per row of f")
     r_max = grid.r_max
     floor = PV_SEPARATION_FLOOR * r_max
     for row in rows:
@@ -667,14 +641,20 @@ def principal_value_integrate(f: Callable, poles: Sequence, grid: RadialGrid,
                     f"poles at r={left:.8g} and r={right:.8g} are too "
                     "close to separate with symmetric windows")
 
-    stack = f if stacked else (lambda r: f(r)[None])
+    def weighted(r):
+        values = _weighted(f, r)
+        if len(values) != len(rows):
+            raise ValueError(f"integrand returned {len(values)} rows for "
+                             f"{len(rows)} pole lists; give one per row")
+        return values
+
     deltas = [_pole_windows(row, r_max) for row in rows]
     every_pole, every_delta = np.concatenate(rows), np.concatenate(deltas)
     owner = np.repeat(np.arange(len(rows)), [row.size for row in rows])
     own = [np.flatnonzero(owner == i) for i in range(len(rows))]
     windows = residues = np.empty(0)
     if every_pole.size:
-        windows, residues = _window_integrals(stack, every_pole,
+        windows, residues = _window_integrals(weighted, every_pole,
                                               every_delta, owner)
     left, right = every_pole - every_delta, every_pole + every_delta
     edges = np.sort(np.concatenate(
@@ -689,7 +669,7 @@ def principal_value_integrate(f: Callable, poles: Sequence, grid: RadialGrid,
     lo, hi = lo[needed], hi[needed]
 
     def smooth(r):
-        values = _weighted(stack, r)
+        values = weighted(r)
         for i, k in enumerate(own):
             if k.size:
                 inside = np.any((r[:, None] > left[k])
@@ -697,12 +677,10 @@ def principal_value_integrate(f: Callable, poles: Sequence, grid: RadialGrid,
                 values[i, inside] = 0.0
                 values[i, ~inside] -= ((1.0 / np.subtract.outer(
                     r[~inside], every_pole[k])) @ residues[k])
-        return values if stacked else values[0]
+        return values
 
-    plain = np.atleast_1d(quad(smooth, lo, hi)[0])
-    values = []
+    values = quad(smooth, lo, hi)[0]
     for i, k in enumerate(own):
-        value = plain[i]
         if k.size:
             # The row's own plain segments; two of its windows may touch.
             seg_lo = np.concatenate(([0.0], right[k]))
@@ -711,7 +689,7 @@ def principal_value_integrate(f: Callable, poles: Sequence, grid: RadialGrid,
             tails = np.log(np.abs(
                 np.subtract.outer(seg_hi[seg], every_pole[k])
                 / np.subtract.outer(seg_lo[seg], every_pole[k]))).sum(axis=0)
-            value = (value + float(residues[k] @ tails)
+            value = (values[i] + float(residues[k] @ tails)
                      + float(np.sum(windows[k])))
             magnitude = float(np.sum(np.abs(windows[k])))
             if PV_WINDOW_ROUNDOFF * magnitude > max(
@@ -720,8 +698,8 @@ def principal_value_integrate(f: Callable, poles: Sequence, grid: RadialGrid,
                     f"pole windows of total magnitude {magnitude:.6g} "
                     f"cancel to a principal value of {value:.6g}, past the "
                     "quadrature tolerance; the poles are too close")
-        values.append(float(value))
-    return np.array(values) if stacked else values[0]
+            values[i] = value
+    return values
 
 
 def load_density_table(path) -> tuple[np.ndarray, np.ndarray]:
@@ -829,8 +807,10 @@ def tabulated_derivatives(r: np.ndarray, rho: np.ndarray,
         ])
 
     # The interior knots, r[3:-3], inside the end knots' six copies.
-    model = DensityModel(profile=profile, electron_count=math.nan,
-                         label=label, r_support=float(r[-1]),
-                         breakpoints=tck[0][6:-6])
-    count = integrate_radial(model.rho, RadialGrid(float(r[-1])))
-    return replace(model, electron_count=count)
+    knots = tck[0][6:-6]
+    # The count reads only the value spline, from the knot intervals.
+    count = quad(lambda x: FOUR_PI * x * x * np.exp(splev(x, tck))[None],
+                 np.r_[0.0, knots], np.r_[knots, r[-1]])[0][0]
+    return DensityModel(profile=profile, electron_count=float(count),
+                        label=label, r_support=float(r[-1]),
+                        breakpoints=knots)

@@ -244,15 +244,16 @@ def test_criterion_9_principal_value(atom_bundle, announce):
     four_pi = 4.0 * math.pi
 
     def weighted(numer):
-        return lambda r: numer(r) / (four_pi * r * r)
+        # One integrand, as the one-row stack principal values take.
+        return lambda r: (numer(r) / (four_pi * r * r))[None]
 
-    got = radial.principal_value_integrate(
-        weighted(lambda r: 1.0 / (r - 1.0)), [1.0], grid)
+    (got,) = radial.principal_value_integrate(
+        weighted(lambda r: 1.0 / (r - 1.0)), [[1.0]], grid)
     if abs(got) > 1e-8:
         failures.append(f"PV of 1/(r-1) = {got:.2e}, not 0")
 
-    got = radial.principal_value_integrate(
-        weighted(lambda r: r / (r - 1.0)), [1.0], grid)
+    (got,) = radial.principal_value_integrate(
+        weighted(lambda r: r / (r - 1.0)), [[1.0]], grid)
     if abs(got - 2.0) > 1e-8:
         failures.append(f"PV of r/(r-1) = {got}, not 2")
 
@@ -270,7 +271,8 @@ def test_criterion_9_principal_value(atom_bundle, announce):
     model = profiles.gaussian_density(1.0)
     smooth_grid = radial.grid_for_density(model)
     plain = radial.integrate_radial(model.rho, smooth_grid)
-    pv = radial.principal_value_integrate(model.rho, [], smooth_grid)
+    (pv,) = radial.principal_value_integrate(lambda r: model.rho(r)[None],
+                                             [[]], smooth_grid)
     if abs(pv - plain) > 1e-10 * abs(plain):
         failures.append(f"no-pole PV {pv} vs plain {plain}")
 

@@ -28,6 +28,21 @@ from kedsum.radial import (
 FOUR_PI = 4.0 * math.pi
 
 
+def _row(f):
+    """A lone integrand or denominator f as a one-row stack."""
+    return lambda r: np.asarray(f(r), dtype=float)[None]
+
+
+def _poles(denominator, grid):
+    """The poles of a lone denominator, scanned as a one-row stack."""
+    return find_poles(_row(denominator), grid)[0]
+
+
+def _pv(f, poles, grid):
+    """The principal value of a lone integrand with its one pole list."""
+    return principal_value_integrate(_row(f), [poles], grid)[0]
+
+
 # ---------------------------------------------------------------------------
 # Grids
 # ---------------------------------------------------------------------------
@@ -164,7 +179,7 @@ def _nan_band(numer):
 
 @pytest.mark.parametrize("integral", [
     lambda: integrate_radial(_nan_band(np.exp), _pv_grid()),
-    lambda: principal_value_integrate(
+    lambda: _pv(
         _nan_band(lambda r: np.exp(-r) / (r - 0.5)), [0.5], _pv_grid()),
 ], ids=["plain", "principal-value"])
 def test_quadrature_names_a_non_finite_value(integral):
@@ -197,17 +212,21 @@ def test_kronrod_rule_is_exact_through_degree_31():
 
 def _quadpack(f, a, b):
     """scipy's QUADPACK under radial.quad's contract, as a reference:
-    one QUADPACK integral per interval [a_i, b_i], summed."""
-    value = abserr = 0.0
+    one QUADPACK integral per row of the stack f and interval
+    [a_i, b_i], summed over the intervals."""
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
+    value, abserr = (np.zeros(len(f(np.array([0.5 * (a[0] + b[0])]))))
+                     for _ in range(2))
     neval = 0
-    for lo, hi in zip(np.atleast_1d(a), np.atleast_1d(b)):
-        part, error, info = scipy.integrate.quad(
-            lambda r: float(f(np.array([r]))[0]), lo, hi,
-            epsabs=radial.QUAD_ABSTOL, epsrel=radial.QUAD_RELTOL,
-            limit=radial.QUAD_LIMIT, full_output=True)[:3]
-        value += part
-        abserr += error
-        neval += info["neval"]
+    for row in range(value.size):
+        for lo, hi in zip(a, b):
+            part, error, info = scipy.integrate.quad(
+                lambda r: float(f(np.array([r]))[row, 0]), lo, hi,
+                epsabs=radial.QUAD_ABSTOL, epsrel=radial.QUAD_RELTOL,
+                limit=radial.QUAD_LIMIT, full_output=True)[:3]
+            value[row] += part
+            abserr[row] += error
+            neval += info["neval"]
     return value, abserr, {"neval": neval, "status": 0}
 
 
@@ -220,7 +239,7 @@ def _helium_count():
     lambda: integrate_radial(lambda r: np.exp(-r * r),
                              RadialGrid(12.0)),
     _helium_count,
-    lambda: principal_value_integrate(
+    lambda: _pv(
         lambda r: np.exp(-r) / (r - 1.0) / (FOUR_PI * r * r), [1.0],
         _pv_grid()),
 ], ids=["gaussian", "helium", "principal-value"])
@@ -237,20 +256,26 @@ def test_interior_singularity_raises_with_best_estimate():
             lambda r: np.abs(r - 1.0 / 3.0) ** -0.9 / (FOUR_PI * r * r),
             grid)
     exact = ((1.0 / 3.0) ** 0.1 + (2.0 / 3.0) ** 0.1) / 0.1
-    assert math.isfinite(caught.value.best_estimate)
-    assert caught.value.best_estimate == pytest.approx(exact, rel=0.05)
-    assert caught.value.achieved_error > 0.0
+    # One estimate and one error for the one row integrate_radial hands
+    # quad.
+    (estimate,), (error,) = (caught.value.best_estimate,
+                             caught.value.achieved_error)
+    assert math.isfinite(estimate)
+    assert estimate == pytest.approx(exact, rel=0.05)
+    assert error > 0.0
 
 
 def test_quad_raises_with_best_estimate_at_the_interval_limit():
     # The singularity sits off every bisection point, so refinement
     # runs into QUAD_LIMIT.
     with pytest.raises(QuadratureError, match=r"status 1") as caught:
-        radial.quad(lambda r: np.abs(r - 1.0 / 3.0) ** -0.9, 0.0, 1.0)
+        radial.quad(_row(lambda r: np.abs(r - 1.0 / 3.0) ** -0.9), 0.0, 1.0)
     exact = ((1.0 / 3.0) ** 0.1 + (2.0 / 3.0) ** 0.1) / 0.1
-    assert math.isfinite(caught.value.best_estimate)
-    assert caught.value.best_estimate == pytest.approx(exact, rel=0.05)
-    assert caught.value.achieved_error > 0.0
+    (estimate,), (error,) = (caught.value.best_estimate,
+                             caught.value.achieved_error)
+    assert math.isfinite(estimate)
+    assert estimate == pytest.approx(exact, rel=0.05)
+    assert error > 0.0
 
 
 def test_quad_never_evaluates_the_endpoints():
@@ -259,7 +284,7 @@ def test_quad_never_evaluates_the_endpoints():
             raise ZeroDivisionError("r = 0 was evaluated")
         return np.sin(r) / r
 
-    value, _, info = radial.quad(integrand, 0.0, 1.0)
+    (value,), _, info = radial.quad(_row(integrand), 0.0, 1.0)
     assert info["status"] == 0
     assert value == pytest.approx(0.946083070367183, rel=1e-14)
 
@@ -275,7 +300,7 @@ def test_quad_counts_21_nodes_per_interval_in_one_call_per_round():
             sizes.append(r.size)
             return 1.0 / (1e-3 + (r - 0.3) ** 2)
 
-        value, abserr, info = radial.quad(integrand, a, b)
+        (value,), (abserr,), info = radial.quad(_row(integrand), a, b)
         assert value == pytest.approx(exact, rel=1e-10)
         assert abserr <= radial.QUAD_RELTOL * abs(value)
         # One call per round: the starting intervals, then both halves
@@ -291,8 +316,9 @@ def test_quad_limit_counts_only_the_intervals_bisection_adds():
     # width 1e-4 that the interval holding it must be bisected for.
     edges = np.linspace(0.0, 1.0, 1001)
     eps = 1e-4
-    value, abserr, info = radial.quad(
-        lambda r: 1.0 / (eps * eps + (r - 0.3) ** 2), edges[:-1], edges[1:])
+    (value,), _, info = radial.quad(
+        _row(lambda r: 1.0 / (eps * eps + (r - 0.3) ** 2)),
+        edges[:-1], edges[1:])
     exact = (math.atan(0.7 / eps) + math.atan(0.3 / eps)) / eps
     assert info["status"] == 0
     assert info["neval"] > 21 * 1000
@@ -304,11 +330,25 @@ def _peaked(r):
 
 
 def test_one_row_stack_takes_the_scalar_steps():
-    for a, b in [(0.0, 1.0), ([0.0, 0.5], [0.5, 1.0])]:
-        scalar = radial.quad(_peaked, a, b)
-        value, abserr, info = radial.quad(lambda r: _peaked(r)[None], a, b)
-        assert value.shape == abserr.shape == (1,)
-        assert (value[0], abserr[0], info) == scalar
+    # A row of a stack gets from the rule the bits it gets as a one-row
+    # stack, across several calls of f (76 intervals a call).
+    edges = np.linspace(0.0, 1.0, 200)
+    rows = [_peaked, np.sin, lambda r: np.exp(-r)]
+    together = radial._gk21(lambda r: np.array([g(r) for g in rows]),
+                            edges[:-1], edges[1:])
+    for i, g in enumerate(rows):
+        alone = radial._gk21(_row(g), edges[:-1], edges[1:])
+        for part, lone in zip(together, alone):
+            assert part.shape == (len(rows), edges.size - 1)
+            np.testing.assert_array_equal(part[i], lone[0])
+    # integrate_radial is quad on the weighted one-row stack, bit for bit.
+    grid = RadialGrid(1.0)
+    value = integrate_radial(_peaked, grid)
+    assert type(value) is float
+    stacked = radial.quad(_row(lambda r: FOUR_PI * r * r * _peaked(r)),
+                          0.0, grid.r_max)[0]
+    assert stacked.shape == (1,)
+    assert value.hex() == stacked[0].hex()
 
 
 def test_stacked_rows_meet_their_own_tolerances():
@@ -337,10 +377,10 @@ def test_stacked_quad_names_the_row_and_smallest_bad_radius():
     with pytest.raises(QuadratureError,
                        match=r"^integrand row 1 is not finite at r=\S+ "
                              r"\(got nan\)$") as caught:
-        integrate_radial(stack, _pv_grid())
+        radial.quad(stack, 0.0, _pv_grid().r_max)
     radius = float(re.search(r"r=(\S+)", str(caught.value)).group(1))
     assert 1.2 < radius < 1.4
-    # A lone integrand's message names no row.
+    # A one-row stack's message names no row.
     with pytest.raises(QuadratureError,
                        match=r"^integrand is not finite at r=") as caught:
         integrate_radial(lambda r: stack(r)[1], _pv_grid())
@@ -354,24 +394,24 @@ def test_stacked_quad_names_the_row_and_smallest_bad_radius():
 
 def test_find_poles_single_root():
     grid = RadialGrid(2.0)
-    assert find_poles(lambda r: r - 1.0, grid) == pytest.approx([1.0])
+    assert _poles(lambda r: r - 1.0, grid) == pytest.approx([1.0])
 
 
 def test_find_poles_no_real_root():
     grid = RadialGrid(2.0)
-    assert find_poles(lambda r: r * r + 1.0, grid) == []
+    assert _poles(lambda r: r * r + 1.0, grid) == []
 
 
 def test_find_poles_two_roots():
     grid = RadialGrid(2.0)
-    roots = find_poles(lambda r: (r - 0.5) * (r - 1.5), grid)
+    roots = _poles(lambda r: (r - 0.5) * (r - 1.5), grid)
     assert roots == pytest.approx([0.5, 1.5])
 
 
 def test_find_poles_rejects_non_finite_denominator():
     grid = RadialGrid(2.0)
     with pytest.raises(ValueError):
-        find_poles(lambda r: np.where(r > 1.0, math.inf, 1.0), grid)
+        _poles(lambda r: np.where(r > 1.0, math.inf, 1.0), grid)
 
 
 def _nan_beside_one(r):
@@ -380,7 +420,7 @@ def _nan_beside_one(r):
 
 
 @pytest.mark.parametrize("denominator", [
-    _nan_beside_one,
+    _row(_nan_beside_one),
     lambda r: np.stack((r - 2.5, _nan_beside_one(r))),
 ], ids=["alone", "stacked"])
 def test_find_poles_refuses_a_step_that_reads_a_non_finite_value(
@@ -409,7 +449,7 @@ def _recording(denominator):
 def test_find_poles_steps_every_bracket_in_one_call_per_step():
     grid = RadialGrid(2.0)
     denominator, calls = _recording(lambda r: np.cos(8.0 * np.pi * r))
-    poles = find_poles(denominator, grid)
+    poles = _poles(denominator, grid)
     roots = (2.0 * np.arange(16) + 1.0) / 16.0
     assert len(poles) == 16
     np.testing.assert_allclose(poles, roots, rtol=0.0,
@@ -427,7 +467,7 @@ def test_find_poles_bisects_a_bracket_that_stops_halving():
     grid = RadialGrid(2.0)
     denominator, calls = _recording(
         lambda r: np.expm1(np.minimum(1e6 * (r - 1.0), 300.0)))
-    assert find_poles(denominator, grid) == pytest.approx(
+    assert _poles(denominator, grid) == pytest.approx(
         [1.0], rel=0.0, abs=1e-12 * grid.r_max)
     # The bracket is under 2^30 stopping widths wide and halves at least
     # every four steps.
@@ -445,7 +485,7 @@ def test_find_poles_closes_an_exact_zero_while_others_bisect():
     assert 0.5 < a < 1.0 < b < 2.0
     denominator, calls = _recording(
         lambda r: np.minimum(r - 1.0, (2.3 - r) * r))
-    poles = find_poles(denominator, grid)
+    poles = _poles(denominator, grid)
     assert poles[0] == 1.0
     assert poles[1] == pytest.approx(2.3, abs=1e-12 * grid.r_max)
     # One scan, then one step on both brackets (1.0 is an exact zero),
@@ -459,7 +499,7 @@ def test_find_poles_secant_finish_reaches_the_float_limit():
     # The steps stop at a 1e-12 * r_max bracket; the secant step through
     # its end values lands on the root itself.
     grid = RadialGrid(2.0)
-    poles = find_poles(lambda r: np.cos(8.0 * np.pi * r), grid)
+    poles = _poles(lambda r: np.cos(8.0 * np.pi * r), grid)
     roots = (2.0 * np.arange(16) + 1.0) / 16.0
     np.testing.assert_allclose(poles, roots, rtol=1e-14, atol=0.0)
 
@@ -470,7 +510,7 @@ def test_find_poles_finds_every_simple_root(roots):
     roots = np.sort(roots)
     assume(np.all(np.diff(roots) >= 0.05))
     grid = RadialGrid(2.0)
-    poles = find_poles(
+    poles = _poles(
         lambda r: np.prod(np.subtract.outer(r, roots), axis=-1), grid)
     assert len(poles) == roots.size
     np.testing.assert_allclose(poles, roots, rtol=0.0,
@@ -498,7 +538,7 @@ def test_stacked_find_poles_matches_each_row_alone(rows, tilt):
     steps = []
     for i, poles in enumerate(together):
         denominator, calls = _recording(row_denominator(i))
-        alone = find_poles(denominator, grid)
+        alone = _poles(denominator, grid)
         assert [p.hex() for p in poles] == [p.hex() for p in alone]
         steps.append(len(calls))
     # One call per step for every row's open brackets.
@@ -519,13 +559,13 @@ def _inverse_weight(numer):
 
 
 def test_pv_of_antisymmetric_pole_is_zero():
-    value = principal_value_integrate(
+    value = _pv(
         _inverse_weight(lambda r: 1.0 / (r - 1.0)), [1.0], _pv_grid())
     assert abs(value) < 1e-8
 
 
 def test_pv_with_regular_part():
-    value = principal_value_integrate(
+    value = _pv(
         _inverse_weight(lambda r: r / (r - 1.0)), [1.0], _pv_grid())
     assert value == pytest.approx(2.0, abs=1e-8)
 
@@ -554,9 +594,9 @@ def test_pv_at_located_pole_matches_exponential_integral():
     # holds once the pole itself is exact.
     r0 = 1.0 / math.sqrt(2.0)
     grid = _pv_grid()
-    poles = find_poles(lambda r: np.exp(3.0 * r) - math.exp(3.0 * r0), grid)
+    poles = _poles(lambda r: np.exp(3.0 * r) - math.exp(3.0 * r0), grid)
     assert len(poles) == 1
-    value = principal_value_integrate(
+    value = _pv(
         _inverse_weight(lambda r: np.exp(-r) / (r - r0)), poles, grid)
     assert value == pytest.approx(_pv_exponential([r0], grid.r_max),
                                   rel=1e-9)
@@ -574,7 +614,7 @@ def test_pv_across_several_poles_matches_partial_fractions(poles):
     # themselves, so ln((r_max - r_k) / r_k) over the whole domain would
     # count them twice.
     grid = _pv_grid()
-    value = principal_value_integrate(_exponential_over(poles), poles, grid)
+    value = _pv(_exponential_over(poles), poles, grid)
     exact = _pv_exponential(poles, grid.r_max)
     assert value == pytest.approx(exact, rel=1e-11)
 
@@ -594,7 +634,9 @@ def test_stacked_principal_values_match_each_row_alone():
         lambda r: np.array([f(r) for f in integrands]), rows, grid)
     assert values.shape == (len(rows),)
     for value, poles, f in zip(values, rows, integrands):
-        alone = principal_value_integrate(f, poles, grid)
+        # A one-row stack's list is cut at its own windows only, so it
+        # agrees to rounding, not to the bit.
+        alone = _pv(f, poles, grid)
         assert value == pytest.approx(alone, rel=1e-13, abs=0.0)
         if poles:
             exact = _pv_exponential(poles, grid.r_max)
@@ -625,6 +667,41 @@ def test_a_stacked_row_is_never_evaluated_at_its_own_pole():
     assert plain == pytest.approx(math.expm1(grid.r_max), rel=1e-12)
 
 
+def _pole_and_plain(r):
+    """Two rows: e^-r / (r - 0.7) and e^r, both over 4 pi r^2."""
+    return np.array([_exponential_over([0.7])(r),
+                     _inverse_weight(np.exp)(r)])
+
+
+@pytest.mark.parametrize("poles,message", [
+    ([[0.7]], "integrand returned 2 rows for 1 pole lists; give one per row"),
+    ([[]], "integrand returned 2 rows for 1 pole lists; give one per row"),
+    ([[0.7], [], []],
+     "integrand returned 2 rows for 3 pole lists; give one per row"),
+    ([], "poles holds no pole list; give one per row of f"),
+], ids=["fewer-with-poles", "fewer", "more", "none"])
+def test_pv_refuses_a_stack_whose_rows_do_not_match_its_pole_lists(
+        poles, message):
+    # One list too few would drop the last row's value without a word,
+    # and one too many would read a row that is not there.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        principal_value_integrate(_pole_and_plain, poles, _pv_grid())
+
+
+def test_only_a_stack_is_integrated_or_scanned():
+    # A lone integrand goes through integrate_radial, or as a one-row
+    # stack; no other entry point takes one, and integrate_radial takes
+    # no stack.  Each misuse fails loudly, never with a quiet value.
+    grid = _pv_grid()
+    for misuse in (lambda: radial.quad(np.exp, 0.0, 1.0),
+                   lambda: find_poles(lambda r: r - 1.0, grid),
+                   lambda: principal_value_integrate(np.exp, [[]], grid),
+                   lambda: principal_value_integrate(np.exp, [[1.0]], grid),
+                   lambda: integrate_radial(_pole_and_plain, grid)):
+        with pytest.raises((ValueError, IndexError)):
+            misuse()
+
+
 @pytest.mark.parametrize("centre", ["node", "midpoint"])
 def test_pole_pair_at_the_separation_floor_is_found_or_refused(centre):
     # Two roots 1.001 times the closest separation the windows allow.
@@ -642,14 +719,14 @@ def test_pole_pair_at_the_separation_floor_is_found_or_refused(centre):
     def denominator(r):
         return (r - pair[0]) * (r - pair[1])
 
-    poles = find_poles(denominator, grid)
+    poles = _poles(denominator, grid)
     if centre == "node":
         np.testing.assert_allclose(poles, pair, rtol=0.0,
                                    atol=1e-12 * grid.r_max)
     else:
         assert poles == []
     try:
-        value = principal_value_integrate(
+        value = _pv(
             _inverse_weight(lambda r: np.exp(-r) / denominator(r)), poles,
             grid)
     except (PrincipalValueError, QuadratureError):
@@ -674,7 +751,7 @@ def test_close_pole_pair_whose_windows_cancel_is_refused():
     # magnitude; their rounding left T 1.1e-6 off without an error.
     grid, pair, f = _close_pair(1334, 10)
     with pytest.raises(PrincipalValueError, match="cancel"):
-        principal_value_integrate(f, pair, grid)
+        _pv(f, pair, grid)
 
 
 def test_close_pole_pair_below_the_cancellation_limit_is_integrated(
@@ -690,7 +767,7 @@ def test_close_pole_pair_below_the_cancellation_limit_is_integrated(
         return windows, residues
 
     monkeypatch.setattr(radial, "_window_integrals", spy)
-    value = principal_value_integrate(f, pair, grid)
+    value = _pv(f, pair, grid)
     exact = _pv_exponential(pair, grid.r_max)
     assert magnitudes[0] < 300.0 * abs(exact)
     assert value == pytest.approx(exact, rel=1e-11)
@@ -700,19 +777,19 @@ def test_pv_without_poles_equals_plain_quadrature():
     model = profiles.gaussian_density(1.0)
     grid = grid_for_density(model)
     plain = integrate_radial(model.rho, grid)
-    pv = principal_value_integrate(model.rho, [], grid)
+    pv = _pv(model.rho, [], grid)
     assert pv == pytest.approx(plain, rel=1e-10)
 
 
 def test_pv_rejects_pole_outside_domain():
     with pytest.raises(PrincipalValueError):
-        principal_value_integrate(
+        _pv(
             _inverse_weight(lambda r: 1.0 / (r - 3.0)), [3.0], _pv_grid())
 
 
 def test_pv_rejects_overlapping_poles():
     with pytest.raises(PrincipalValueError):
-        principal_value_integrate(
+        _pv(
             _inverse_weight(lambda r: 1.0), [1.0, 1.0 + 1e-9], _pv_grid())
 
 
@@ -720,14 +797,14 @@ def test_pv_rejects_non_simple_pole():
     # A cubic pole still changes sign (so it would be located like a
     # simple one), but the residue ladder diverges and must refuse it.
     with pytest.raises(PrincipalValueError):
-        principal_value_integrate(
+        _pv(
             _inverse_weight(lambda r: 1.0 / (r - 1.0) ** 3), [1.0],
             _pv_grid())
 
 
 def test_pv_names_the_pole_that_is_not_simple():
     with pytest.raises(PrincipalValueError, match=r"r=1\.5 "):
-        principal_value_integrate(
+        _pv(
             _inverse_weight(
                 lambda r: 1.0 / ((r - 0.5) * (r - 1.5) ** 3)),
             [0.5, 1.5], _pv_grid())
@@ -741,7 +818,7 @@ def test_pv_names_a_non_finite_window_value():
     with pytest.raises(QuadratureError,
                        match=r"not finite at r=0\.99\d* in the window of "
                              r"the pole at r=1 "):
-        principal_value_integrate(_inverse_weight(numer), [1.0], _pv_grid())
+        _pv(_inverse_weight(numer), [1.0], _pv_grid())
 
 
 def test_pv_handles_two_separated_poles(monkeypatch):
@@ -755,7 +832,7 @@ def test_pv_handles_two_separated_poles(monkeypatch):
     quad = radial.quad
     monkeypatch.setattr(radial, "quad",
                         lambda *args: calls.append(args) or quad(*args))
-    value = principal_value_integrate(
+    value = _pv(
         _inverse_weight(numer), [0.5, 1.5], _pv_grid())
     assert abs(value) < 1e-8
     assert len(calls) == 1
@@ -848,13 +925,15 @@ def test_tabulated_model_integrates_like_its_source():
     assert count == pytest.approx(model.electron_count, rel=1e-6)
 
 
-def _sampled_atom(key="ne", seed=1, count=400):
+def _sampled_atom(key="ne", seed=1, count=400, skip=0):
     """A bundled atom's density at ``count`` log-spaced radii on
     [1e-4, 80], every interior radius moved by up to 0.4 log-steps
-    either way by a generator seeded with ``seed``."""
+    either way by a generator seeded with ``seed``, after the draws of
+    ``skip`` tables before it."""
     rng = np.random.default_rng(seed)
     u = np.linspace(math.log(1e-4), math.log(80.0), count)
-    u[1:-1] += 0.4 * (u[1] - u[0]) * rng.uniform(-1.0, 1.0, count - 2)
+    jitter = rng.uniform(-1.0, 1.0, (skip + 1, count - 2))[-1]
+    u[1:-1] += 0.4 * (u[1] - u[0]) * jitter
     r = np.exp(u)
     return r, atoms.density_model(atoms.bundled_basis(key)).rho(r)
 
@@ -899,16 +978,23 @@ def test_a_long_table_starts_its_quadrature_at_every_knot():
     assert reports[0].T == pytest.approx(t0, rel=1e-8)
 
 
-def _knot_split(model, knots, r_max, order):
-    """Fixed composite Gauss-Legendre of 4 pi r^2 (tau0 + tau2 + tau4) on
-    every piece of [0, r_max] between ``knots``."""
+def _knot_split(f, knots, r_max, order):
+    """Fixed composite Gauss-Legendre of 4 pi r^2 f on every piece of
+    [0, r_max] between ``knots``."""
     edges = np.concatenate(([0.0], knots[knots < r_max], [r_max]))
     x, w = np.polynomial.legendre.leggauss(order)
     centre, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
     r = (centre[:, None] + half[:, None] * x).ravel()
-    p = kedf.tau_point(model.eval(r), r)
-    g = (FOUR_PI * r * r * (p[0] + p[1] + p[2])).reshape(half.size, order)
+    g = (FOUR_PI * r * r * f(r)).reshape(half.size, order)
     return float(np.sum((g @ w) * half))
+
+
+def _t024(model):
+    """tau0 + tau2 + tau4 of ``model``, on an array of radii."""
+    def f(r):
+        p = kedf.tau_point(model.eval(r), r)
+        return p[0] + p[1] + p[2]
+    return f
 
 
 def test_a_tabulated_row_meets_the_tolerance_across_the_knots():
@@ -919,12 +1005,25 @@ def test_a_tabulated_row_meets_the_tolerance_across_the_knots():
     model = tabulated_derivatives(r, rho)
     grid = grid_for_density(model)
     # An interpolating quintic's interior knots are the samples r[3:-3].
-    reference = _knot_split(model, r[3:-3], grid.r_max, 30)
-    assert _knot_split(model, r[3:-3], grid.r_max, 20) == pytest.approx(
-        reference, rel=1e-13, abs=0.0)
+    reference = _knot_split(_t024(model), r[3:-3], grid.r_max, 30)
+    assert _knot_split(_t024(model), r[3:-3], grid.r_max, 20) == \
+        pytest.approx(reference, rel=1e-13, abs=0.0)
     reports = resum.run_methods(model, resum.ALL_METHODS, grid)
     assert reports[2].method is resum.ResumMethod.T024
     assert reports[2].T == pytest.approx(reference, rel=1e-10, abs=0.0)
+
+
+def test_a_tabulated_count_integrates_its_spline_across_the_knots():
+    # Be as one generator seeded 5 samples it after He.  Integrated
+    # from one interval, its count missed its spline's own integral by
+    # 7.5e-10 relative.
+    r, rho = _sampled_atom("be", seed=5, skip=1)
+    model = tabulated_derivatives(r, rho)
+    reference = _knot_split(model.rho, r[3:-3], r[-1], 30)
+    assert _knot_split(model.rho, r[3:-3], r[-1], 20) == pytest.approx(
+        reference, rel=1e-14, abs=0.0)
+    assert model.electron_count == pytest.approx(reference, rel=1e-12,
+                                                 abs=0.0)
 
 
 def _eval_peak_bytes(model) -> int:
