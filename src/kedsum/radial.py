@@ -23,13 +23,12 @@ the only geometry is the radial half-line.  This module owns:
 
 ``quad``, ``find_poles`` and ``principal_value_integrate`` take stacks:
 callables that map a 1-d array of n radii to an ``(m, n)`` array of m
-rows.  ``integrate_radial`` takes one integrand, with one value per
-radius, and hands it on as a one-row stack.  Quadrature is a globally
-adaptive Gauss-Kronrod 10/21 rule in numpy (``quad``) that evaluates
-each refinement round as one batch of radii, ``QUAD_CALL_RADII`` at a
-time, and holds each row to its own tolerance.  ``quad`` returns each
-value with its error estimate and raises ``QuadratureError`` when it
-cannot meet the tolerance, so no caller reads a status.
+rows, and refuse any other shape with ``ValueError``;
+``integrate_radial`` hands its one integrand on as a one-row stack.
+``quad`` is a globally adaptive Gauss-Kronrod 10/21 rule in numpy that
+evaluates each refinement round in runs of at most ``QUAD_CALL_RADII``
+radii, holds each row to its own tolerance, and raises
+``QuadratureError`` when it cannot meet it, so no caller reads a status.
 Splines are FITPACK's: ``tabulated_derivatives`` imports scipy when it
 is called, and it is the only code that does, so atoms and Hooke
 densities never load scipy.
@@ -53,9 +52,9 @@ FOUR_PI = 4.0 * math.pi
 QUAD_RELTOL = 1e-10
 QUAD_ABSTOL = 1e-13
 QUAD_LIMIT = 400
-# Radii one call of a ``quad`` integrand takes at most, as many as the
-# pole scan's nodes, which bounds a round's temporaries.  A tabulated
-# row starts from its knot intervals, about 8k radii (six calls) on a
+# Radii one call of a ``quad`` integrand takes at most, which bounds a
+# round's temporaries, and the pole scan's node count.  A tabulated row
+# starts from its knot intervals, about 8k radii (six calls) on a
 # 400-sample table.  On the benchmark's tables one pass then traces a
 # peak of 0.38 MB; 4,096 radii a call took two or three calls and 0.79 MB.
 QUAD_CALL_RADII = 1600
@@ -256,90 +255,79 @@ def grid_for_density(model: DensityModel) -> RadialGrid:
     return RadialGrid(r_max)
 
 
-def _weighted(f: Callable, r):
-    """The radial measure 4 pi r^2 times f, on an array of radii."""
-    return FOUR_PI * r * r * f(r)
-
-
-def _kronrod(f: Callable, lo: np.ndarray, hi: np.ndarray):
-    """qk21 on every interval [lo_i, hi_i], f called once on their nodes.
-
-    Returns the ``(m, k)`` estimates and error estimates of the m rows
-    of f on the k intervals, and None; or, when a value is not finite,
-    None, None and the smallest such radius, its row, the value and m.
-    The error is the Gauss-Kronrod difference, scaled against the
-    integrand's spread over the interval and floored at 50 ulps of the
-    integral of |f|.
-    """
-
-    center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    radii = (center[:, None] + half[:, None] * GK21_NODES).ravel()
-    rows = np.asarray(f(radii), dtype=float)
-    bad = ~np.isfinite(rows)
-    if np.any(bad):
-        i = int(np.argmin(np.where(np.any(bad, axis=0), radii, np.inf)))
-        row = int(np.argmax(bad[:, i]))
-        return None, None, (radii[i], row, rows[row, i], len(rows))
-    # A stacked matmul rounds each row as a one-row stack would.
-    rows = rows.reshape(len(rows), lo.size, GK21_NODES.size)
-    kronrod = rows @ GK21_WEIGHTS
-    gauss = rows[..., 1::2] @ GAUSS10_WEIGHTS
-    mean = 0.5 * kronrod
-    abs_half = np.abs(half)
-    resabs = (np.abs(rows) @ GK21_WEIGHTS) * abs_half
-    resasc = (np.abs(rows - mean[..., None]) @ GK21_WEIGHTS) * abs_half
-    error = np.abs((kronrod - gauss) * half)
-    nonflat = resasc != 0.0
-    ratio = 200.0 * error / np.where(nonflat, resasc, 1.0)
-    error = np.where(nonflat, resasc * np.minimum(1.0, ratio ** 1.5), error)
-    floor = resabs > _TINY / (50.0 * _EPS)
-    error = np.where(floor, np.maximum(50.0 * _EPS * resabs, error), error)
-    return kronrod * half, error, None
+def _as_stack(values, n: int) -> np.ndarray:
+    """values as an (m, n) float array, or ValueError naming its shape."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[1] != n:
+        raise ValueError(f"expected an (m, {n}) stack, got {values.shape}")
+    return values
 
 
 def _gk21(f: Callable, lo: np.ndarray, hi: np.ndarray):
-    """QUADPACK's qk21 on every interval [lo_i, hi_i].
+    """QUADPACK's qk21 of the stack f on every interval [lo_i, hi_i].
 
-    The intervals go to ``_kronrod`` in runs of whole intervals, at most
-    ``QUAD_CALL_RADII`` radii a call of f, and each run is reduced to its
-    estimates before the next, so a long interval list is never held at
-    every node.  f is a stack, as for ``quad``.  Returns the ``(m, k)``
-    estimates and error estimates on the k intervals; a row gets the
-    same bits as in a one-row stack.  A value of f that is not finite
-    raises ``QuadratureError`` naming the smallest such radius, and its
-    row when m > 1.
+    f is called on runs of whole intervals, at most ``QUAD_CALL_RADII``
+    radii a call, and each run is reduced to its ``(m, k)`` estimates and
+    error estimates, each row's bits as in a one-row stack, and its node
+    values dropped, before the next call.  The error is the Gauss-Kronrod
+    difference, scaled against the integrand's spread over the interval
+    and floored at 50 ulps of the integral of |f|.  After the last run, a
+    value that is not finite raises ``QuadratureError`` naming the
+    smallest such radius of the round, and its row when m > 1.
     """
 
     width = max(1, QUAD_CALL_RADII // GK21_NODES.size)
-    parts = [_kronrod(f, lo[i:i + width], hi[i:i + width])
-             for i in range(0, lo.size, width)]
-    failures = [part[2] for part in parts if part[2] is not None]
+    estimates, errors, failures = [], [], {}
+    for i in range(0, lo.size, width):
+        center = 0.5 * (lo[i:i + width] + hi[i:i + width])
+        half = 0.5 * (hi[i:i + width] - lo[i:i + width])
+        radii = (center[:, None] + half[:, None] * GK21_NODES).ravel()
+        rows = _as_stack(f(radii), radii.size)
+        bad = ~np.isfinite(rows)
+        if np.any(bad):
+            j = int(np.argmin(np.where(np.any(bad, axis=0), radii, np.inf)))
+            row = int(np.argmax(bad[:, j]))
+            which = "integrand" if len(rows) == 1 else f"integrand row {row}"
+            failures[radii[j]] = (f"{which} is not finite at "
+                                  f"r={radii[j]:.12g} (got {rows[row, j]})")
+            del rows, bad
+            continue
+        # A stacked matmul rounds each row as a one-row stack would.
+        rows = rows.reshape(len(rows), -1, GK21_NODES.size)
+        kronrod = rows @ GK21_WEIGHTS
+        mean = 0.5 * kronrod
+        abs_half = np.abs(half)
+        resabs = (np.abs(rows) @ GK21_WEIGHTS) * abs_half
+        resasc = (np.abs(rows - mean[..., None]) @ GK21_WEIGHTS) * abs_half
+        error = np.abs((kronrod - rows[..., 1::2] @ GAUSS10_WEIGHTS) * half)
+        nonflat = resasc != 0.0
+        ratio = (200.0 * error / np.where(nonflat, resasc, 1.0)) ** 1.5
+        error = np.where(nonflat, resasc * np.minimum(1.0, ratio), error)
+        floor = resabs > _TINY / (50.0 * _EPS)
+        error = np.where(floor, np.maximum(50.0 * _EPS * resabs, error), error)
+        estimates.append(kronrod * half)
+        errors.append(error)
+        del rows, bad, kronrod, mean, resabs, resasc, error, ratio
     if failures:
-        radius, row, got, count = min(failures)
-        which = "integrand" if count == 1 else f"integrand row {row}"
-        raise QuadratureError(
-            f"{which} is not finite at r={radius:.12g} (got {got})")
-    return tuple(np.concatenate([part[k] for part in parts], axis=-1)
-                 for k in (0, 1))
+        raise QuadratureError(failures[min(failures)])
+    return np.concatenate(estimates, axis=1), np.concatenate(errors, axis=1)
 
 
 def quad(f: Callable, a, b):
     """Globally adaptive Gauss-Kronrod 10/21 estimates of int_a^b f.
 
-    f maps a 1-d array of n radii to an ``(m, n)`` stack of m integrands,
-    which share one interval list; a and b are floats, or equal-length
-    arrays of interval ends whose integrals are summed.  The endpoints
-    are never evaluated, and a value that is not finite raises
-    ``QuadratureError``.  Each round evaluates the 21 nodes of every
-    interval that still needs work, in one call of f per
-    ``QUAD_CALL_RADII`` radii.  Then every integrand whose error
-    estimate exceeds its own tolerance max(QUAD_ABSTOL, QUAD_RELTOL
-    |value|) picks the intervals with its largest error estimates, as
-    many as it takes for their errors to cover its excess, and the round
-    bisects the union of the picks, in the order first picked.  At most
-    QUAD_LIMIT bisections are made in all, beyond the starting list
-    however long it is.
+    f maps a 1-d array of n radii to an ``(m, n)`` stack of m integrands
+    on one interval list, or ``ValueError`` is raised; a and b are
+    floats, or equal-length arrays of interval ends whose integrals are
+    summed.  The endpoints are never evaluated.  Each round evaluates the
+    21 nodes of every interval that still needs work (see ``_gk21``), and
+    a value that is not finite raises ``QuadratureError``.  Then every
+    integrand whose error estimate exceeds its own tolerance
+    max(QUAD_ABSTOL, QUAD_RELTOL |value|) picks the intervals with its
+    largest error estimates, as many as it takes for their errors to
+    cover its excess, and the round bisects the union of the picks, in
+    the order first picked.  At most QUAD_LIMIT bisections are made in
+    all, beyond the starting list however long it is.
 
     Returns ``(value, abserr, info)``, arrays of m.  ``info["neval"]``
     counts the radii f was called on, and ``info["status"]`` is 0 when
@@ -352,7 +340,7 @@ def quad(f: Callable, a, b):
     lo, hi = (np.array(a, dtype=float, ndmin=1),
               np.array(b, dtype=float, ndmin=1))
     values, errors = _gk21(f, lo, hi)
-    neval, status, start = GK21_NODES.size * lo.size, 0, lo.size
+    status, start = 0, lo.size
     while True:
         value, abserr = values.sum(axis=1), errors.sum(axis=1)
         excess = abserr - np.maximum(QUAD_ABSTOL,
@@ -381,7 +369,6 @@ def quad(f: Callable, a, b):
         new_lo = np.concatenate((lo[pick], mid))
         new_hi = np.concatenate((mid, hi[pick]))
         new_values, new_errors = _gk21(f, new_lo, new_hi)
-        neval += GK21_NODES.size * new_lo.size
         keep = np.ones(lo.size, dtype=bool)
         keep[pick] = False
         lo = np.concatenate((lo[keep], new_lo))
@@ -397,26 +384,28 @@ def quad(f: Callable, a, b):
             f"converge (status {status}, estimate {estimate}, "
             f"error {error})",
             best_estimate=value, achieved_error=abserr)
-    return value, abserr, {"neval": neval, "status": status}
+    return value, abserr, {"neval": GK21_NODES.size * (2 * lo.size - start),
+                           "status": status}
 
 
 def integrate_radial(f: Callable, grid: RadialGrid) -> float:
     """Adaptive estimate of ``4 pi int_0^rmax r^2 f(r) dr``.
 
-    f takes a 1-d array of radii and returns one value per radius; it
-    goes to ``quad`` as a one-row stack, whose integral is returned as a
-    float.  A value that is not finite raises ``QuadratureError`` naming
-    the smallest such radius, and so does a run that does not converge.
+    f returns one value per radius of a 1-d array, and any other shape
+    raises ``ValueError``; it goes to ``quad`` as a one-row stack, whose
+    integral is returned as a float.  A value that is not finite, or a
+    run that does not converge, raises ``QuadratureError``.
     """
 
-    return float(quad(lambda r: _weighted(f, r)[None], 0.0, grid.r_max)[0][0])
+    return float(quad(lambda r: (FOUR_PI * r * r * f(r))[None], 0.0,
+                      grid.r_max)[0][0])
 
 
 def _scan_nodes(r_max: float) -> np.ndarray:
-    """The pole scan's 1,600 nodes on [1e-5 r_max, r_max], clustered
-    toward the origin as t**2.5 for evenly spaced t in [0, 1]."""
+    """The pole scan's ``QUAD_CALL_RADII`` nodes on [1e-5 r_max, r_max],
+    clustered toward the origin as t**2.5 for evenly spaced t in [0, 1]."""
     r_min = 1e-5 * r_max
-    t = np.linspace(0.0, 1.0, 1600)
+    t = np.linspace(0.0, 1.0, QUAD_CALL_RADII)
     nodes = r_min + (r_max - r_min) * t ** 2.5
     # r_min + (r_max - r_min) can round off r_max by an ulp.
     nodes[-1] = r_max
@@ -436,8 +425,8 @@ def find_poles(denominator: Callable, grid: RadialGrid):
 
     ``denominator`` maps a 1-d array of n radii to an ``(m, n)`` stack
     of m denominators, which are scanned together.  The scan reads it
-    on ``_scan_nodes(grid.r_max)``, 1,600 nodes from
-    1e-5 r_max up, in one batched call.  Every bracket of every row is
+    on ``_scan_nodes(grid.r_max)``, ``QUAD_CALL_RADII`` (1,600) nodes
+    from 1e-5 r_max up, in one batched call.  Every bracket of every row is
     then narrowed at once by Illinois steps (Dowell and Jarratt, 1971):
     regula falsi that halves the stored value of an end kept twice in a
     row, so both ends close in superlinearly.  Each step calls the
@@ -463,7 +452,7 @@ def find_poles(denominator: Callable, grid: RadialGrid):
     """
 
     nodes = _scan_nodes(grid.r_max)
-    values = np.asarray(denominator(nodes), dtype=float)
+    values = _as_stack(denominator(nodes), nodes.size)
     _require_finite_denominator(nodes, values)
 
     left, right = values[:, :-1], values[:, 1:]
@@ -491,8 +480,7 @@ def find_poles(denominator: Callable, grid: RadialGrid):
         x = np.where(width > 0.5 * widths[0, open_], 0.5 * (lo + hi),
                      np.clip(falsi, lo + margin, hi - margin))
         widths[:, open_] = np.vstack((widths[1:, open_], width))
-        fx = np.asarray(denominator(x), dtype=float)[row[open_],
-                                                     np.arange(x.size)]
+        fx = _as_stack(denominator(x), x.size)[row[open_], np.arange(x.size)]
         _require_finite_denominator(x, fx)
         left_half = fa[open_] * fx < 0.0
         # An exact zero closes its bracket: both ends move to x.
@@ -597,8 +585,8 @@ def principal_value_integrate(f: Callable, poles: Sequence, grid: RadialGrid,
     """Cauchy principal values of ``4 pi int r^2 f dr`` across simple poles.
 
     f maps a 1-d array of n radii to an ``(m, n)`` stack of integrands,
-    and ``poles`` holds one list of poles per row, or ``ValueError`` is
-    raised.  Returns the m principal values, from one ``quad`` call.
+    and ``poles`` holds one 1-d list of poles per row, or ``ValueError``
+    is raised.  Returns the m principal values, from one ``quad`` call.
 
     Each row's domain is split into a symmetric window around each of
     its poles and the plain segments between them.  The windows use
@@ -625,6 +613,8 @@ def principal_value_integrate(f: Callable, poles: Sequence, grid: RadialGrid,
     refused with ``PrincipalValueError``.
     """
 
+    if any(np.ndim(p) != 1 for p in poles):
+        raise ValueError(f"poles {poles!r} is not one 1-d list per row of f")
     rows = [np.sort(np.asarray(p, dtype=float)) for p in poles]
     if not rows:
         raise ValueError("poles holds no pole list; give one per row of f")
@@ -642,7 +632,7 @@ def principal_value_integrate(f: Callable, poles: Sequence, grid: RadialGrid,
                     "close to separate with symmetric windows")
 
     def weighted(r):
-        values = _weighted(f, r)
+        values = FOUR_PI * r * r * _as_stack(f(r), r.size)
         if len(values) != len(rows):
             raise ValueError(f"integrand returned {len(values)} rows for "
                              f"{len(rows)} pole lists; give one per row")

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kedsum import atoms, hooke, kedf, profiles, radial, resum
 from kedsum.radial import (
@@ -388,6 +388,37 @@ def test_stacked_quad_names_the_row_and_smallest_bad_radius():
         radius
 
 
+@example(count=400, rows=3, row=2, seed=0, start=1.5, width=0.1)
+@given(st.integers(77, 400), st.integers(2, 3), st.integers(0, 2),
+       st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.9),
+       st.floats(0.05, 0.5))
+def test_quad_names_the_smallest_bad_radius_of_every_run(
+        count, rows, row, seed, start, width):
+    # 77 or more intervals take two or more calls of f a round, 76
+    # intervals a call, and in shuffled order the smallest NaN radius
+    # can fall in any of them.  The refusal comes after the last call
+    # and names the smallest NaN radius that any call read.
+    row %= rows
+    edges = np.linspace(0.0, 2.0, count + 1)
+    order = np.random.default_rng(seed).permutation(count)
+    called = []
+
+    def stack(r):
+        called.append(r)
+        values = np.array([np.exp(-k * r) for k in range(1, rows + 1)])
+        values[row, (r > start) & (r < start + width)] = np.nan
+        return values
+
+    with pytest.raises(QuadratureError) as caught:
+        radial.quad(stack, edges[:-1][order], edges[1:][order])
+    per_call = radial.QUAD_CALL_RADII // 21
+    assert len(called) == math.ceil(count / per_call) >= 2
+    radii = np.concatenate(called)
+    smallest = radii[(radii > start) & (radii < start + width)].min()
+    assert str(caught.value) == (f"integrand row {row} is not finite at "
+                                 f"r={smallest:.12g} (got nan)")
+
+
 # ---------------------------------------------------------------------------
 # Pole location
 # ---------------------------------------------------------------------------
@@ -691,14 +722,30 @@ def test_pv_refuses_a_stack_whose_rows_do_not_match_its_pole_lists(
 def test_only_a_stack_is_integrated_or_scanned():
     # A lone integrand goes through integrate_radial, or as a one-row
     # stack; no other entry point takes one, and integrate_radial takes
-    # no stack.  Each misuse fails loudly, never with a quiet value.
+    # no stack.  Each misuse is refused with the shape it was given.
     grid = _pv_grid()
-    for misuse in (lambda: radial.quad(np.exp, 0.0, 1.0),
-                   lambda: find_poles(lambda r: r - 1.0, grid),
-                   lambda: principal_value_integrate(np.exp, [[]], grid),
-                   lambda: principal_value_integrate(np.exp, [[1.0]], grid),
-                   lambda: integrate_radial(_pole_and_plain, grid)):
-        with pytest.raises((ValueError, IndexError)):
+
+    def stacked_on_the_scan_only(r):
+        return (r - 1.0)[None] if r.size == 1600 else r - 1.0
+
+    for misuse, message in [
+            (lambda: radial.quad(np.exp, 0.0, 1.0),
+             "expected an (m, 21) stack, got (21,)"),
+            (lambda: find_poles(lambda r: r - 1.0, grid),
+             "expected an (m, 1600) stack, got (1600,)"),
+            (lambda: find_poles(stacked_on_the_scan_only, grid),
+             "expected an (m, 1) stack, got (1,)"),
+            # No pole: the plain segment; a pole: its window radii first.
+            (lambda: principal_value_integrate(np.exp, [[]], grid),
+             "expected an (m, 21) stack, got (21,)"),
+            (lambda: principal_value_integrate(np.exp, [[1.0]], grid),
+             "expected an (m, 138) stack, got (138,)"),
+            (lambda: principal_value_integrate(_pole_and_plain, [0.7, 1.5],
+                                               grid),
+             "poles [0.7, 1.5] is not one 1-d list per row of f"),
+            (lambda: integrate_radial(_pole_and_plain, grid),
+             "expected an (m, 21) stack, got (1, 2, 21)")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             misuse()
 
 
